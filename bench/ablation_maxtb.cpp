@@ -21,8 +21,7 @@ int main() {
   fopts.horizon = 150'000;
   const auto traces = xbar::collect_traces(app, fopts);
 
-  const auto full = xbar::validate_configuration(
-      app, bench::full_request(app), bench::full_response(app), fopts);
+  const auto& full = traces.full;
 
   table t({"maxtb", "req buses", "resp buses", "avg lat", "max lat",
            "max/full-max"});

@@ -111,11 +111,8 @@ measurement best_of(const workloads::app_spec& app, traffic::cycle_t horizon,
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
-  bench::require_known_flags(flags, {"horizon", "repeats", "json"});
+/// The bench body; bench::run_main owns flag parsing and usage errors.
+int run(const flag_set& flags) {
   const traffic::cycle_t horizon = flags.get_int("horizon", 200'000);
   const int repeats = static_cast<int>(flags.get_int("repeats", 3));
   bench::print_header(
@@ -201,4 +198,10 @@ int main(int argc, char** argv) {
   }
   if (stuck > 0) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, {"horizon", "repeats", "json"}, run);
 }

@@ -166,13 +166,8 @@ bool results_identical(const milp::bb_result& a, const milp::bb_result& b) {
          a.waves == b.waves;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
-  bench::require_known_flags(flags, {"horizon", "repeats", "scenarios",
-                                     "max-targets", "threads", "big-fabric",
-                                     "json"});
+/// The bench body; bench::run_main owns flag parsing and usage errors.
+int run(const flag_set& flags) {
   const traffic::cycle_t horizon = flags.get_int("horizon", 8'000);
   const int repeats = static_cast<int>(flags.get_int("repeats", 3));
   const int scenarios = static_cast<int>(flags.get_int("scenarios", 4));
@@ -363,4 +358,13 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
   return divergences > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv,
+                         {"horizon", "repeats", "scenarios", "max-targets",
+                          "threads", "big-fabric", "json"},
+                         run);
 }

@@ -15,16 +15,29 @@
 
 namespace stx::bench {
 
-/// Exits 2 when `flags` contains anything outside `known`: bench output
-/// feeds CI artifacts (BENCH_sweep.json), so a typo'd flag must not
-/// silently fall back to defaults — same contract as xbargen/xbar-sweep.
-inline void require_known_flags(const flag_set& flags,
-                                const std::vector<std::string>& known) {
-  if (report_unknown_flags(flags, known, "bench") > 0) {
+/// The entry point every flagged bench shares: parses the command line
+/// and runs `body(flags)`, returning its exit code. Bad usage exits 2
+/// with the known-flag list — an unknown flag before the body starts, a
+/// malformed value (stx::flag_error) wherever the body reads it. Bench
+/// output feeds CI artifacts (BENCH_*.json), so a typo'd flag must
+/// neither fall back to a default nor escape main and abort — the same
+/// contract as xbargen/xbar-sweep.
+template <typename Body>
+int run_main(int argc, char** argv, const std::vector<std::string>& known,
+             Body&& body) {
+  const flag_set flags(argc, argv);
+  const auto usage = [&known] {
     std::fprintf(stderr, "bench: known flags:");
     for (const auto& k : known) std::fprintf(stderr, " --%s", k.c_str());
     std::fprintf(stderr, "\n");
-    std::exit(2);
+    return 2;
+  };
+  if (report_unknown_flags(flags, known, "bench") > 0) return usage();
+  try {
+    return body(flags);
+  } catch (const flag_error& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+    return usage();
   }
 }
 
@@ -77,12 +90,6 @@ inline sim::crossbar_config shared_request(const workloads::app_spec& app) {
 }
 inline sim::crossbar_config shared_response(const workloads::app_spec& app) {
   return sim::crossbar_config::shared(app.num_initiators);
-}
-inline sim::crossbar_config full_request(const workloads::app_spec& app) {
-  return sim::crossbar_config::full(app.num_targets);
-}
-inline sim::crossbar_config full_response(const workloads::app_spec& app) {
-  return sim::crossbar_config::full(app.num_initiators);
 }
 
 }  // namespace stx::bench

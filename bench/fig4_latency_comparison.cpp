@@ -29,10 +29,10 @@ int main() {
   const auto opts = bench::default_flow();
   for (const auto& app : workloads::all_mpsoc_apps()) {
     // Window-based design + full reference (phases 1-4).
-    const auto report = xbar::run_design_flow(app, opts);
+    const auto traces = xbar::collect_traces(app, opts);
+    const auto report = xbar::design_from_traces(app, traces, opts);
 
     // Average-flow baseline on the same traces.
-    const auto traces = xbar::collect_traces(app, opts);
     const auto avg_req = xbar::design_average_traffic(traces.request);
     const auto avg_resp = xbar::design_average_traffic(traces.response);
     const auto avg_metrics = xbar::validate_configuration(

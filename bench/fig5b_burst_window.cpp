@@ -35,8 +35,7 @@ int main() {
     fopts.horizon = 60 * (burst + params.gap_cycles);
     const auto traces = xbar::collect_traces(app, fopts);
 
-    const auto full_metrics = xbar::validate_configuration(
-        app, bench::full_request(app), bench::full_response(app), fopts);
+    const auto& full_metrics = traces.full;
 
     traffic::cycle_t acceptable = 0;
     const std::vector<double> multiples = {0.5, 1, 2, 3, 4, 6, 8, 12, 16};

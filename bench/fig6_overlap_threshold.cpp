@@ -20,11 +20,11 @@
 #include "util/table.h"
 #include "workloads/synthetic.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// The bench body; bench::run_main owns flag parsing and usage errors.
+int run(const stx::flag_set& flags) {
   using namespace stx;
-  const flag_set flags(argc, argv);
-  bench::require_known_flags(flags,
-                             {"horizon", "threads", "validate", "json"});
   bench::print_header(
       "Figure 6 — initiator->target crossbar size vs overlap threshold",
       "synthetic 20-core benchmark, window = 2000 cycles (~2x burst)");
@@ -69,4 +69,11 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stx::bench::run_main(argc, argv,
+                              {"horizon", "threads", "validate", "json"}, run);
 }

@@ -109,12 +109,8 @@ round_result run_round(const std::string& socket_path,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
-  bench::require_known_flags(
-      flags, {"horizon", "requests", "workers", "json", "help"});
+/// The bench body; bench::run_main owns flag parsing and usage errors.
+int run(const flag_set& flags) {
   const auto horizon = flags.get_int("horizon", 20'000);
   const int requests = static_cast<int>(flags.get_int("requests", 48));
   const int workers = static_cast<int>(flags.get_int("workers", 4));
@@ -195,4 +191,11 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(root);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(
+      argc, argv, {"horizon", "requests", "workers", "json", "help"}, run);
 }

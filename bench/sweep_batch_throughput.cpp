@@ -136,12 +136,8 @@ std::vector<sim::run_metrics> run_batches(
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const flag_set flags(argc, argv);
-  bench::require_known_flags(
-      flags, {"points", "horizon", "batch", "threads", "repeats", "json"});
+/// The bench body; bench::run_main owns flag parsing and usage errors.
+int run(const flag_set& flags) {
   const int points = static_cast<int>(flags.get_int("points", 10'000));
   const traffic::cycle_t horizon = flags.get_int("horizon", 2'000);
   const int batch_size = static_cast<int>(flags.get_int("batch", 32));
@@ -260,4 +256,12 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
   return identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(
+      argc, argv,
+      {"points", "horizon", "batch", "threads", "repeats", "json"}, run);
 }

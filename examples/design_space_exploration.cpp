@@ -35,11 +35,10 @@ int main(int argc, char** argv) {
   xbar::flow_options opts;
   opts.horizon = flags.get_int("horizon", 120'000);
 
-  // Collect once; every design point reuses the same traces.
+  // Collect once; every design point reuses the same traces, and the
+  // collection run is the full-crossbar reference.
   const auto traces = xbar::collect_traces(app, opts);
-  const auto full = xbar::validate_configuration(
-      app, sim::crossbar_config::full(app.num_targets),
-      sim::crossbar_config::full(app.num_initiators), opts);
+  const auto& full = traces.full;
 
   table t({"window", "threshold", "maxtb", "buses(req+resp)", "avg lat",
            "avg/full", "max lat"});

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
   // ---- Phase 4: validation (the full flow also designs the response
   // side the same way).
-  const auto report = xbar::run_design_flow(app, opts);
+  const auto report = xbar::design_from_traces(app, traces, opts);
   std::printf("phase 4: validation\n");
   std::printf("  full crossbars    : avg %.2f cy, max %.0f cy (%d buses)\n",
               report.full.avg_latency, report.full.max_latency,

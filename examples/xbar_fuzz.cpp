@@ -236,6 +236,10 @@ int main(int argc, char** argv) {
     // telemetry is worth keeping; only bad usage (2) skips the write.
     if (rc != 2) obs_out.finish();
     return rc;
+  } catch (const flag_error& e) {
+    std::fprintf(stderr, "xbar-fuzz: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xbar-fuzz: %s\n", e.what());
     return flags.has("scenario") ? 2 : 1;

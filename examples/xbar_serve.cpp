@@ -215,6 +215,10 @@ int main(int argc, char** argv) {
       return run_client(flags, socket_path, flags.get_string("client", ""));
     }
     return run_daemon(flags, socket_path);
+  } catch (const flag_error& e) {
+    std::fprintf(stderr, "xbar-serve: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xbar-serve: %s\n", e.what());
     return 1;

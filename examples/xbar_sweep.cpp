@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
 
     // With --cache-dir the phase-1 cache is backed by the persistent
     // store: a re-run (or any other CLI on the same directory) serves
-    // traces and references without re-simulating.
+    // traces without re-simulating.
     std::shared_ptr<explore::kv_store> store;
     const auto cache_dir = flags.get_string("cache-dir", "");
     if (!cache_dir.empty()) {
@@ -204,17 +204,14 @@ int main(int argc, char** argv) {
     const double sweep_sec = seconds_since(t0);
 
     std::printf("%s", explore::render_markdown(report).c_str());
-    std::printf("\nsweep wall-clock: %.2fs (%lld phase-1 + %lld reference "
-                "simulations for %zu evaluations)\n",
+    std::printf("\nsweep wall-clock: %.2fs (%lld phase-1 simulations for "
+                "%zu evaluations)\n",
                 sweep_sec, static_cast<long long>(report.phase1_simulations),
-                static_cast<long long>(report.full_simulations),
                 report.results.size());
     if (store != nullptr) {
       const auto cs = cache.stats();
-      std::printf("persistent cache: %lld trace + %lld reference load(s) "
-                  "served from %s\n",
+      std::printf("persistent cache: %lld trace load(s) served from %s\n",
                   static_cast<long long>(cs.trace_store_hits),
-                  static_cast<long long>(cs.full_store_hits),
                   cache_dir.c_str());
     }
 
@@ -227,9 +224,10 @@ int main(int argc, char** argv) {
         for (const auto& p : points) {
           const auto opts = explore::options_for(spec, p);
           const auto traces = xbar::collect_traces(app, opts);
-          xbar::flow_stage_inputs stages;
-          if (!spec.validate) stages.mode = xbar::validation_mode::skip;
-          (void)xbar::design_from_traces(app, traces, opts, stages);
+          (void)xbar::design_from_traces(
+              app, traces, opts,
+              spec.validate ? xbar::validation_mode::validate
+                            : xbar::validation_mode::skip);
         }
       }
       const double serial_sec = seconds_since(t1);
@@ -251,6 +249,10 @@ int main(int argc, char** argv) {
     }
     obs_out.finish();
     return 0;
+  } catch (const flag_error& e) {
+    std::fprintf(stderr, "xbar-sweep: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xbar-sweep: %s\n", e.what());
     return 1;

@@ -12,7 +12,8 @@
 //
 // Prints the designed configuration and (for --app runs) the validated
 // latency against the full crossbar. Exit code 0 on success, 2 on bad
-// usage (unknown flag, unknown app, malformed --emit list).
+// usage (unknown flag, malformed flag value, unknown app, malformed
+// --emit list).
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -354,6 +355,10 @@ int main(int argc, char** argv) {
     }
     if (rc == 0) obs_out.finish();
     return rc;
+  } catch (const flag_error& e) {
+    std::fprintf(stderr, "xbargen: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xbargen: %s\n", e.what());
     return 1;

@@ -114,8 +114,6 @@ const char* to_string(cache_stage s) {
   switch (s) {
     case cache_stage::trace:
       return "trace";
-    case cache_stage::full:
-      return "full";
     case cache_stage::report:
       return "report";
     case cache_stage::metrics:
@@ -127,10 +125,6 @@ const char* to_string(cache_stage s) {
 cache_key trace_key(const std::string& app_id,
                     const xbar::flow_options& opts) {
   return base_key(cache_stage::trace, app_id, opts);
-}
-
-cache_key full_key(const std::string& app_id, const xbar::flow_options& opts) {
-  return base_key(cache_stage::full, app_id, opts);
 }
 
 cache_key report_key(const std::string& app_id, const xbar::flow_options& opts,
@@ -230,8 +224,6 @@ cache_key decode(const std::string& line) {
     } else if (name == "stage") {
       if (value == "trace") {
         k.stage = cache_stage::trace;
-      } else if (value == "full") {
-        k.stage = cache_stage::full;
       } else if (value == "report") {
         k.stage = cache_stage::report;
       } else if (value == "metrics") {

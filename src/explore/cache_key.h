@@ -12,7 +12,7 @@
 // version covering the code's result format.
 //
 // Wire form: one line, space-separated `k=v` fields in fixed order,
-//   stxkey/v1 v=1 stage=report app=mat2 horizon=120000 seed=1 ...
+//   stxkey/v1 v=2 stage=report app=mat2 horizon=120000 seed=1 ...
 // Values are percent-escaped so application identities may be arbitrary
 // strings (e.g. a full `stxfuzz/v1 ...` scenario token — the
 // content-addressed identity of a generated application).
@@ -30,12 +30,12 @@ namespace stx::explore {
 /// invalidates previously stored results (new flow_report fields, solver
 /// behaviour changes, trace format changes). Old entries then simply
 /// miss: the store is content-addressed, never migrated.
-inline constexpr int kCacheSchemaVersion = 1;
+inline constexpr int kCacheSchemaVersion = 2;
 
 /// Which stage result the key names.
 enum class cache_stage {
-  trace,    ///< phase-1 collected_traces (synthesis knobs excluded)
-  full,     ///< full-crossbar reference validation_metrics (same deps)
+  trace,    ///< phase-1 collected_traces, full-crossbar reference
+            ///< metrics included (synthesis knobs excluded)
   report,   ///< complete flow_report (every knob included)
   metrics,  ///< phase-4 designed-configuration validation_metrics (the
             ///< design is a function of every knob, so same deps as
@@ -44,7 +44,7 @@ enum class cache_stage {
 
 const char* to_string(cache_stage s);
 
-/// The canonical key. Construct through trace_key/full_key/report_key so
+/// The canonical key. Construct through trace_key/report_key/metrics_key so
 /// the field-selection rules (which options enter which stage) live in
 /// exactly one place.
 struct cache_key {
@@ -90,9 +90,6 @@ struct cache_key {
 /// Phase-1 trace key for (app identity, opts): everything the collection
 /// simulation depends on, nothing the synthesis knobs change.
 cache_key trace_key(const std::string& app_id, const xbar::flow_options& opts);
-
-/// Full-crossbar reference key: same dependencies as the trace key.
-cache_key full_key(const std::string& app_id, const xbar::flow_options& opts);
 
 /// Complete flow-report key: every option the report depends on.
 cache_key report_key(const std::string& app_id, const xbar::flow_options& opts,

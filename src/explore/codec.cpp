@@ -1,5 +1,6 @@
 #include "explore/codec.h"
 
+#include <iterator>
 #include <sstream>
 
 #include "gen/json.h"
@@ -10,9 +11,10 @@ namespace stx::explore {
 
 std::string encode_traces(const xbar::collected_traces& traces) {
   std::ostringstream out;
-  out << "stxtraces/v1\n";
+  out << "stxtraces/v2\n";
   traces.request.save(out);
   traces.response.save(out);
+  out << encode_metrics(traces.full);
   return std::move(out).str();
 }
 
@@ -20,10 +22,13 @@ xbar::collected_traces decode_traces(const std::string& blob) {
   std::istringstream in(blob);
   std::string magic;
   in >> magic;
-  STX_REQUIRE(magic == "stxtraces/v1", "not an stxtraces/v1 blob");
+  STX_REQUIRE(magic == "stxtraces/v2", "not an stxtraces/v2 blob");
   xbar::collected_traces traces;
   traces.request = traffic::trace::load(in);
   traces.response = traffic::trace::load(in);
+  // The rest of the blob is the phase-1 run's metrics document.
+  traces.full = decode_metrics(std::string(std::istreambuf_iterator<char>(in),
+                                           std::istreambuf_iterator<char>()));
   return traces;
 }
 

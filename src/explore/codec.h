@@ -2,7 +2,8 @@
 // cacheable stage result. Every encode/decode pair round-trips exactly
 // (operator== on the decoded value), which is what makes warm-cache
 // results bit-identical to fresh computation:
-//   traces  — "stxtraces/v1" envelope over two stxtrace v1 streams
+//   traces  — "stxtraces/v2" envelope over two stxtrace v1 streams and
+//             the phase-1 run's metrics document
 //   metrics — "stx-validation-metrics/v1" JSON (doubles at %.17g)
 //   reports — the gen "stx-crossbar-design/v1" document (emit/parse)
 // Decoders throw stx::invalid_argument_error on malformed input; store

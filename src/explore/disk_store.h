@@ -1,6 +1,7 @@
 // Persistent content-addressed result store: the kv_store that survives
-// the process. Traces, full-crossbar references and whole flow reports
-// land here keyed by their canonical stxkey/v1 line, shared by xbargen,
+// the process. Phase-1 runs (traces with their full-crossbar reference
+// metrics), designed-configuration metrics and whole flow reports land
+// here keyed by their canonical stxkey/v1 line, shared by xbargen,
 // xbar-sweep, xbar-fuzz and the xbar-serve daemon pointed at the same
 // cache directory.
 //

@@ -58,17 +58,11 @@ sweep_result evaluate_point(const sweep_spec& spec,
   result.app_name = app.name;
   result.point = point;
   result.validated = spec.validate;
-  xbar::flow_stage_inputs stages;
-  if (spec.validate) {
-    stages.full = *cache.full_metrics(app, opts);
-  } else {
-    stages.mode = xbar::validation_mode::skip;
-  }
-  if (defer_designed) stages.mode = xbar::validation_mode::skip;
-  result.report = xbar::design_from_traces(app, *traces, opts, stages);
-  if (spec.validate && defer_designed && stages.full.has_value()) {
-    result.report.full = *stages.full;
-  }
+  result.report = xbar::design_from_traces(
+      app, *traces, opts,
+      spec.validate && !defer_designed ? xbar::validation_mode::validate
+                                       : xbar::validation_mode::skip);
+  if (spec.validate && defer_designed) result.report.full = traces->full;
   return result;
 }
 
@@ -269,8 +263,6 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
   const auto stats_after = cache.stats();
   report.phase1_simulations =
       stats_after.trace_misses - stats_before.trace_misses;
-  report.full_simulations =
-      stats_after.full_misses - stats_before.full_misses;
   report.designed_store_hits = designed_store_hits;
   // Per-app cache activity for THIS sweep: delta against the pre-sweep
   // per-app totals, reported in spec order (deterministic; a shared cache
@@ -292,8 +284,6 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
     entry.app_name = app.name;
     entry.trace_hits = after.trace_hits - before.trace_hits;
     entry.trace_misses = after.trace_misses - before.trace_misses;
-    entry.full_hits = after.full_hits - before.full_hits;
-    entry.full_misses = after.full_misses - before.full_misses;
     report.cache.push_back(std::move(entry));
   }
   if (spec.validate) {

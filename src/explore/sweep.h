@@ -40,9 +40,10 @@ struct sweep_spec {
   std::uint64_t seed = 1;
   traffic::cycle_t transfer_overhead = 2;
 
-  /// Run the per-point phase-4 validation simulation and the per-app
-  /// full-crossbar reference. Off = synthesis-only sweeps (Figs. 5-6
-  /// only need bus counts) with zeroed latency metrics.
+  /// Run the per-point phase-4 validation simulation and report each
+  /// point against the full-crossbar reference (the per-app phase-1
+  /// run). Off = synthesis-only sweeps (Figs. 5-6 only need bus counts)
+  /// with zeroed latency metrics.
   bool validate = true;
 
   /// Worker threads; values < 1 and 1 both run inline on the caller.

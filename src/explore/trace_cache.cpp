@@ -5,38 +5,26 @@
 
 namespace stx::explore {
 
-namespace {
-
-/// How the loader obtained a value; selects the stats bucket.
-enum class load_source { store, simulated };
-
-}  // namespace
-
-template <typename T, typename Simulate, typename Enc, typename Dec>
-std::shared_ptr<const T> trace_cache::get(store_t<T>& store,
-                                          const cache_key& key,
-                                          const std::string& app_name,
-                                          bool is_trace, Simulate&& simulate,
-                                          Enc&& enc, Dec&& dec) {
+std::shared_ptr<const xbar::collected_traces> trace_cache::traces(
+    const workloads::app_spec& app, const xbar::flow_options& opts,
+    const std::string& app_id) {
+  const auto key = trace_key(app_id, opts);
   const auto map_key = encode(key);
-  std::promise<std::shared_ptr<const T>> promise;
-  std::shared_future<std::shared_ptr<const T>> future;
+  std::promise<std::shared_ptr<const xbar::collected_traces>> promise;
+  entry future;
   bool loader = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = store.find(map_key);
-    if (it != store.end()) {
-      auto& per_app = stats_by_app_[app_name];
-      ++(is_trace ? stats_.trace_hits : stats_.full_hits);
-      ++(is_trace ? per_app.trace_hits : per_app.full_hits);
-      obs::add_counter(
-          is_trace ? "explore.cache.trace_hits" : "explore.cache.full_hits",
-          1);
+    const auto it = traces_.find(map_key);
+    if (it != traces_.end()) {
+      ++stats_.trace_hits;
+      ++stats_by_app_[app_id].trace_hits;
+      obs::add_counter("explore.cache.trace_hits", 1);
       future = it->second;
     } else {
       loader = true;
       future = promise.get_future().share();
-      store.emplace(map_key, future);
+      traces_.emplace(map_key, future);
     }
   }
   if (loader) {
@@ -45,24 +33,24 @@ std::shared_ptr<const T> trace_cache::get(store_t<T>& store,
     // (= simulations run) and store hits are counted here, once the
     // source is known, so stats stay truthful with a backing store.
     try {
-      std::shared_ptr<const T> value;
-      auto source = load_source::simulated;
+      std::shared_ptr<const xbar::collected_traces> value;
       if (backing_) {
         if (auto blob = backing_->get(key)) {
           try {
-            value = std::make_shared<const T>(dec(*blob));
-            source = load_source::store;
+            value = std::make_shared<const xbar::collected_traces>(
+                decode_traces(*blob));
           } catch (const std::exception&) {
             // Undecodable blob: miss; the write-through below replaces it.
-            value = nullptr;
           }
         }
       }
-      if (!value) {
-        value = std::make_shared<const T>(simulate());
+      const bool from_store = value != nullptr;
+      if (!from_store) {
+        value = std::make_shared<const xbar::collected_traces>(
+            xbar::collect_traces(app, opts));
         if (backing_) {
           try {
-            backing_->put(key, enc(*value));
+            backing_->put(key, encode_traces(*value));
           } catch (const std::exception&) {
             // A failed write-through (disk full, fsync failure) only
             // loses persistence — the computed value is still good, so
@@ -73,20 +61,12 @@ std::shared_ptr<const T> trace_cache::get(store_t<T>& store,
       }
       {
         std::lock_guard<std::mutex> lock(mu_);
-        auto& per_app = stats_by_app_[app_name];
-        if (source == load_source::store) {
-          ++(is_trace ? stats_.trace_store_hits : stats_.full_store_hits);
-          ++(is_trace ? per_app.trace_store_hits : per_app.full_store_hits);
-        } else {
-          ++(is_trace ? stats_.trace_misses : stats_.full_misses);
-          ++(is_trace ? per_app.trace_misses : per_app.full_misses);
-        }
+        auto& per_app = stats_by_app_[app_id];
+        ++(from_store ? stats_.trace_store_hits : stats_.trace_misses);
+        ++(from_store ? per_app.trace_store_hits : per_app.trace_misses);
       }
-      obs::add_counter(source == load_source::store
-                           ? (is_trace ? "explore.cache.trace_store_hits"
-                                       : "explore.cache.full_store_hits")
-                           : (is_trace ? "explore.cache.trace_misses"
-                                       : "explore.cache.full_misses"),
+      obs::add_counter(from_store ? "explore.cache.trace_store_hits"
+                                  : "explore.cache.trace_misses",
                        1);
       promise.set_value(std::move(value));
     } catch (...) {
@@ -94,32 +74,12 @@ std::shared_ptr<const T> trace_cache::get(store_t<T>& store,
       // waiters get the exception, the next requester retries the load.
       {
         std::lock_guard<std::mutex> lock(mu_);
-        store.erase(map_key);
+        traces_.erase(map_key);
       }
       promise.set_exception(std::current_exception());
     }
   }
   return future.get();
-}
-
-std::shared_ptr<const xbar::collected_traces> trace_cache::traces(
-    const workloads::app_spec& app, const xbar::flow_options& opts,
-    const std::string& app_id) {
-  return get(
-      traces_, trace_key(app_id, opts), app_id, /*is_trace=*/true,
-      [&] { return xbar::collect_traces(app, opts); },
-      [](const xbar::collected_traces& t) { return encode_traces(t); },
-      [](const std::string& blob) { return decode_traces(blob); });
-}
-
-std::shared_ptr<const xbar::validation_metrics> trace_cache::full_metrics(
-    const workloads::app_spec& app, const xbar::flow_options& opts,
-    const std::string& app_id) {
-  return get(
-      full_, full_key(app_id, opts), app_id, /*is_trace=*/false,
-      [&] { return xbar::validate_full_crossbars(app, opts); },
-      [](const xbar::validation_metrics& m) { return encode_metrics(m); },
-      [](const std::string& blob) { return decode_metrics(blob); });
 }
 
 trace_cache::cache_stats trace_cache::stats() const {

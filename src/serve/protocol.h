@@ -47,7 +47,7 @@ struct design_request {
   std::string app;            ///< built-in application name, or empty
   std::string scenario;       ///< stxfuzz/v1 token, or empty
   xbar::flow_options opts;
-  bool validate = true;       ///< run phase 4 (full reference + designed)
+  bool validate = true;       ///< run phase 4 (designed vs full reference)
   std::vector<std::string> artifacts;  ///< gen backend names to render
   /// Per-request deadline in milliseconds since admission (0 = none). A
   /// request still queued when its deadline passes is answered with a

@@ -117,12 +117,13 @@ server::server(service& svc, std::string socket_path, options opts)
 server::~server() { stop(); }
 
 void server::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ =
+      std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
-void server::accept_loop() {
+void server::accept_loop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
@@ -138,7 +139,7 @@ void server::accept_loop() {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         continue;
       }
-      return;  // listening socket closed by stop()/drain()
+      return;  // listening socket shut down by close_listener()
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_ || shutdown_ || draining_) {
@@ -282,13 +283,7 @@ bool server::drain(int timeout_ms) {
       if (busy_fds_.count(fd) == 0) ::shutdown(fd, SHUT_RDWR);
     }
   }
-  // Stop accepting new connections.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  close_listener();  // stop accepting new connections
   // Give mid-dispatch requests the drain budget to finish writing.
   std::unique_lock<std::mutex> lock(mu_);
   const bool drained =
@@ -301,6 +296,19 @@ bool server::drain(int timeout_ms) {
   return drained;
 }
 
+void server::close_listener() {
+  if (accept_thread_.joinable()) {
+    // shutdown() makes the blocked (or next) accept() fail, ending the
+    // loop; the descriptor stays open until the thread is gone.
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    accept_thread_.join();
+  }
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+}
+
 void server::stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -310,14 +318,7 @@ void server::stop() {
     for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   cv_.notify_all();
-  if (listen_fd_ >= 0) {
-    // Closing the listening socket makes accept() fail and ends the
-    // accept loop; shutdown() first for portability with blocked accept.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  close_listener();
   for (auto& t : conn_threads_) {
     if (t.joinable()) t.join();
   }

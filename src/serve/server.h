@@ -73,7 +73,15 @@ class server {
   live_stats live() const;
 
  private:
-  void accept_loop();
+  /// Accepts on `listen_fd`: the accept thread's own copy of the
+  /// listening descriptor, so it never reads listen_fd_, which only the
+  /// thread calling drain()/stop() touches.
+  void accept_loop(int listen_fd);
+  /// Ends the accept loop and releases the listening socket: shutdown()
+  /// wakes the blocked accept(), the accept thread is joined, and only
+  /// then is the descriptor closed — never while a thread may be
+  /// blocked on it. Idempotent.
+  void close_listener();
   void serve_connection(int fd);
   /// Dispatches one request line to one response line (never throws —
   /// parse/flow errors become error responses).

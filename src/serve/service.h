@@ -32,11 +32,12 @@ namespace stx::serve {
 ///   report    — `store` consulted under the stage=report key first; a
 ///               hit decodes the stored flow_report and returns without
 ///               touching the simulator or the solver.
-///   collect   — phase-1 traces through `cache` (trace key).
+///   collect   — phase-1 traces and full-crossbar reference metrics
+///               through `cache` (trace key).
 ///   synthesize— xbar::synthesize_design (cheap relative to phases 1/4;
 ///               cached only as part of the report).
-///   validate  — full-crossbar reference through `cache` (full key),
-///               then xbar::validate_design.
+///   validate  — xbar::validate_design: the designed-configuration
+///               simulation (cached only as part of the report).
 /// The computed report is written through to `store` before returning.
 struct cached_design_result {
   xbar::flow_report report;

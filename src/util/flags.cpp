@@ -1,10 +1,11 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/error.h"
 
 namespace stx {
 
@@ -68,9 +69,11 @@ std::int64_t flag_set::get_int(const std::string& name,
   const auto* s = find(name);
   if (s == nullptr) return fallback;
   char* end = nullptr;
+  errno = 0;
   const auto v = std::strtoll(s->c_str(), &end, 10);
-  STX_REQUIRE(end != s->c_str() && *end == '\0',
-              "flag --" + name + " is not an integer: " + *s);
+  if (end == s->c_str() || *end != '\0' || errno == ERANGE) {
+    throw flag_error("flag --" + name + " is not an integer: " + *s);
+  }
   return v;
 }
 
@@ -79,8 +82,9 @@ double flag_set::get_double(const std::string& name, double fallback) const {
   if (s == nullptr) return fallback;
   char* end = nullptr;
   const double v = std::strtod(s->c_str(), &end);
-  STX_REQUIRE(end != s->c_str() && *end == '\0',
-              "flag --" + name + " is not a number: " + *s);
+  if (end == s->c_str() || *end != '\0' || !std::isfinite(v)) {
+    throw flag_error("flag --" + name + " is not a number: " + *s);
+  }
   return v;
 }
 
@@ -89,8 +93,7 @@ bool flag_set::get_bool(const std::string& name, bool fallback) const {
   if (s == nullptr) return fallback;
   if (s->empty() || *s == "true" || *s == "1") return true;
   if (*s == "false" || *s == "0") return false;
-  throw invalid_argument_error("flag --" + name +
-                               " is not a boolean: " + *s);
+  throw flag_error("flag --" + name + " is not a boolean: " + *s);
 }
 
 int report_unknown_flags(const flag_set& flags,

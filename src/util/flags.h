@@ -6,7 +6,19 @@
 #include <utility>
 #include <vector>
 
+#include "util/error.h"
+
 namespace stx {
+
+/// A supplied flag value that does not parse as the type asked for
+/// (`--horizon=abc`, `--validate=maybe`). Every flag_set getter throws
+/// this one type, so each CLI and bench maps it to its usage text and
+/// exit code 2 in one catch, like an unknown flag — never to a runtime
+/// failure (exit 1) or an uncaught exception (abort).
+class flag_error : public invalid_argument_error {
+ public:
+  using invalid_argument_error::invalid_argument_error;
+};
 
 /// Parses `--name=value` / `--name value` / bare `--flag` arguments.
 ///
@@ -15,7 +27,7 @@ namespace stx {
 ///     if (flags.has("verbose")) ...
 ///
 /// Unrecognised positional arguments are kept in positional(). Lookup of a
-/// flag that was supplied with a non-parsable value throws.
+/// flag that was supplied with a non-parsable value throws flag_error.
 class flag_set {
  public:
   flag_set(int argc, const char* const* argv);

@@ -71,7 +71,8 @@ collected_traces collect_traces(const workloads::app_spec& app,
   auto session = workloads::make_full_crossbar_session(
       app, base_system_config(opts, /*record_traces=*/true));
   session.run(opts.horizon);
-  return {session.request_trace(), session.response_trace()};
+  return {session.request_trace(), session.response_trace(),
+          to_validation(session.metrics())};
 }
 
 validation_metrics validate_configuration(const workloads::app_spec& app,
@@ -160,26 +161,27 @@ flow_report synthesize_design(const workloads::app_spec& app,
   return report;
 }
 
-void validate_design(const workloads::app_spec& app, const flow_options& opts,
-                     const std::optional<validation_metrics>& full,
+void validate_design(const workloads::app_spec& app,
+                     const collected_traces& traces, const flow_options& opts,
                      flow_report& report) {
-  // ---- Phase 4: validation simulations.
+  // ---- Phase 4: validation simulation of the designed crossbars; the
+  // full-crossbar reference is the phase-1 run.
   obs::span sp("flow.validate", {{"app", app.name}});
   const auto req_cfg =
       report.request_design.to_config(opts.policy, opts.transfer_overhead);
   const auto resp_cfg =
       report.response_design.to_config(opts.policy, opts.transfer_overhead);
   report.designed = validate_configuration(app, req_cfg, resp_cfg, opts);
-  report.full = full.has_value() ? *full : validate_full_crossbars(app, opts);
+  report.full = traces.full;
 }
 
 flow_report design_from_traces(const workloads::app_spec& app,
                                const collected_traces& traces,
                                const flow_options& opts,
-                               const flow_stage_inputs& stages) {
+                               validation_mode mode) {
   auto report = synthesize_design(app, traces, opts);
-  if (stages.mode == validation_mode::validate) {
-    validate_design(app, opts, stages.full, report);
+  if (mode == validation_mode::validate) {
+    validate_design(app, traces, opts, report);
   }
   return report;
 }

@@ -2,7 +2,6 @@
 // window analysis & pre-processing -> synthesis -> validation simulation.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,10 +81,12 @@ struct flow_report {
 flow_report run_design_flow(const workloads::app_spec& app,
                             const flow_options& opts);
 
-/// Phase 4 reference point: full crossbars on both directions, measured
-/// with the same simulator settings as the designed run. Depends only on
-/// (app, horizon, seed, policy, transfer_overhead) — never on the
-/// synthesis knobs — so sweep engines compute it once per application.
+/// Test oracle for the phase-4 reference point: re-simulates full
+/// crossbars on both directions with the same simulator settings as the
+/// designed run, without recording traces. The flow never calls it — the
+/// reference is the phase-1 run itself (collected_traces::full), since
+/// recording traces does not change the simulation; tests assert the two
+/// agree bit for bit.
 validation_metrics validate_full_crossbars(const workloads::app_spec& app,
                                            const flow_options& opts);
 
@@ -121,38 +122,30 @@ std::vector<validation_metrics> validate_configurations(
 design_params effective_synthesis_params(const flow_options& opts,
                                          bool request_direction);
 
-/// Collects the functional traffic traces of phase 1 (full crossbars).
+/// Phase 1 (full crossbars): the functional traffic traces plus the
+/// run's own latency metrics, which are phase 4's full-crossbar
+/// reference. Depends only on (app, horizon, seed, policy,
+/// transfer_overhead) — never on the synthesis knobs — so sweep engines
+/// collect it once per application.
 struct collected_traces {
   traffic::trace request;   ///< events keyed by target id
   traffic::trace response;  ///< events keyed by initiator id
+  validation_metrics full;  ///< the phase-1 run measured as phase 4 does
+
+  bool operator==(const collected_traces&) const = default;
 };
 collected_traces collect_traces(const workloads::app_spec& app,
                                 const flow_options& opts);
 
-/// Whether (and how) phase 4 runs after synthesis.
+/// Whether phase 4 runs after synthesis.
 enum class validation_mode {
-  /// Run the validation simulations: the designed configuration, plus the
-  /// full-crossbar reference unless stage inputs supply it precomputed.
+  /// Run the designed-configuration validation simulation.
   validate,
   /// Skip phase 4 entirely: the report still carries the designs,
   /// endpoint names, traffic matrices and bus counts, with zeroed latency
   /// metrics — synthesis-only sweeps (Figs. 5-6 shapes) need nothing
   /// more.
   skip,
-};
-
-/// Precomputed inputs a staged flow invocation carries between stages.
-/// Replaces the old `(const validation_metrics* full, bool validate)`
-/// trailing parameters, whose pointer lifetime and positional-bool
-/// semantics were easy to misuse.
-struct flow_stage_inputs {
-  /// Full-crossbar reference metrics, when a cache already holds them
-  /// (see validate_full_crossbars). Must come from the same
-  /// (app, horizon, seed, policy, transfer_overhead) as `opts` — the
-  /// explore::trace_cache / serve::service keys guarantee this; hand
-  /// callers must too, or the report's `full` section lies.
-  std::optional<validation_metrics> full;
-  validation_mode mode = validation_mode::validate;
 };
 
 /// Stage "analyze + synthesize" (phases 2-3) alone: window analysis,
@@ -166,23 +159,22 @@ flow_report synthesize_design(const workloads::app_spec& app,
                               const flow_options& opts);
 
 /// Stage "validate" (phase 4) against an already-synthesised report:
-/// simulates the designed configuration and fills report.designed, then
-/// report.full from `full` when provided (else re-simulates the
-/// full-crossbar reference). Idempotent: re-running overwrites the same
-/// fields.
-void validate_design(const workloads::app_spec& app, const flow_options& opts,
-                     const std::optional<validation_metrics>& full,
+/// simulates the designed configuration into report.designed and copies
+/// the phase-1 run's metrics (traces.full) into report.full. Idempotent:
+/// re-running overwrites the same fields.
+void validate_design(const workloads::app_spec& app,
+                     const collected_traces& traces, const flow_options& opts,
                      flow_report& report);
 
 /// Phases 2-4 with an injected phase-1 result: `synthesize_design`
-/// followed by `validate_design` (per stages.mode). `run_design_flow` is
-/// exactly `collect_traces` + this; design-space sweeps and the design
-/// service call it directly so one cached trace serves many parameter
-/// points.
+/// followed by `validate_design` (unless `mode` is skip).
+/// `run_design_flow` is exactly `collect_traces` + this; design-space
+/// sweeps and the design service call it directly so one cached trace
+/// serves many parameter points.
 flow_report design_from_traces(const workloads::app_spec& app,
                                const collected_traces& traces,
                                const flow_options& opts,
-                               const flow_stage_inputs& stages = {});
+                               validation_mode mode = validation_mode::validate);
 
 /// Phase 5, "Generation" (the step Fig. 3 feeds into): renders `report`
 /// into deployable artifacts through the gen backend registry. Backend

@@ -36,7 +36,7 @@ xbar::flow_options rich_options() {
 TEST(CacheKey, EncodeDecodeRoundTripsEveryStage) {
   const auto opts = rich_options();
   for (const auto& key :
-       {trace_key("mat2", opts), full_key("mat2", opts),
+       {trace_key("mat2", opts), metrics_key("mat2", opts),
         report_key("mat2", opts, true), report_key("mat2", opts, false)}) {
     EXPECT_EQ(decode(encode(key)), key) << encode(key);
   }
@@ -45,7 +45,7 @@ TEST(CacheKey, EncodeDecodeRoundTripsEveryStage) {
 TEST(CacheKey, WireFormIsTheDocumentedLine) {
   const auto key = trace_key("mat2", xbar::flow_options{});
   const auto line = encode(key);
-  EXPECT_EQ(line.rfind("stxkey/v1 v=1 stage=trace app=mat2 ", 0), 0) << line;
+  EXPECT_EQ(line.rfind("stxkey/v1 v=2 stage=trace app=mat2 ", 0), 0) << line;
   // Phase-1 stages omit the synthesis fields entirely.
   EXPECT_EQ(line.find("win="), std::string::npos);
   EXPECT_NE(encode(report_key("mat2", xbar::flow_options{})).find("win="),
@@ -78,10 +78,26 @@ TEST(CacheKey, TraceKeyIgnoresSynthesisKnobsReportKeyDoesNot) {
 
 TEST(CacheKey, DistinctStagesOfOneConfigurationNeverCollide) {
   const auto opts = rich_options();
-  EXPECT_NE(encode(trace_key("a", opts)), encode(full_key("a", opts)));
-  EXPECT_NE(hash64(trace_key("a", opts)), hash64(full_key("a", opts)));
+  EXPECT_NE(encode(trace_key("a", opts)), encode(report_key("a", opts)));
+  EXPECT_NE(hash64(trace_key("a", opts)), hash64(report_key("a", opts)));
+  EXPECT_NE(encode(metrics_key("a", opts)),
+            encode(report_key("a", opts, false)));
+  EXPECT_NE(hash64(metrics_key("a", opts)),
+            hash64(report_key("a", opts, false)));
   EXPECT_NE(encode(report_key("a", opts, true)),
             encode(report_key("a", opts, false)));
+}
+
+TEST(CacheKey, SchemaVersionSeparatesOldObjects) {
+  // Version 2 moved the full-crossbar reference into the trace object;
+  // a version-1 trace object lives at a different address, so it can
+  // only ever be a miss, never misread as a version-2 blob.
+  const auto current = trace_key("a", rich_options());
+  auto old = current;
+  old.version = 1;
+  EXPECT_EQ(current.version, 2);
+  EXPECT_NE(encode(old), encode(current));
+  EXPECT_NE(hash_hex(old), hash_hex(current));
 }
 
 TEST(CacheKey, DecodeRejectsMalformedLines) {
@@ -91,7 +107,10 @@ TEST(CacheKey, DecodeRejectsMalformedLines) {
   EXPECT_THROW(decode("not a key at all"), invalid_argument_error);
   EXPECT_THROW(decode(good + " bogus=1"), invalid_argument_error);
   EXPECT_THROW(decode(good + " app=twice"), invalid_argument_error);
-  EXPECT_THROW(decode("stxkey/v1 v=1 stage=trace"),  // missing app
+  EXPECT_THROW(decode("stxkey/v1 v=2 stage=trace"),  // missing app
+               invalid_argument_error);
+  // The retired full-crossbar reference stage is no longer a stage.
+  EXPECT_THROW(decode("stxkey/v1 v=1 stage=full app=x"),
                invalid_argument_error);
 }
 
@@ -106,13 +125,13 @@ TEST(CacheKey, HashIsStableAcrossProcessesByConstruction) {
   key.seed = 1;
   key.policy = 1;
   key.transfer_overhead = 2;
-  EXPECT_EQ(encode(key), "stxkey/v1 v=1 stage=trace app=pin horizon=1000 "
+  EXPECT_EQ(encode(key), "stxkey/v1 v=2 stage=trace app=pin horizon=1000 "
                          "seed=1 policy=1 overhead=2");
   EXPECT_EQ(hash_hex(key), [] {
     // Independently computed FNV-1a of the line above.
     std::uint64_t h = 14695981039346656037ull;
     for (const char c : std::string(
-             "stxkey/v1 v=1 stage=trace app=pin horizon=1000 "
+             "stxkey/v1 v=2 stage=trace app=pin horizon=1000 "
              "seed=1 policy=1 overhead=2")) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;

@@ -90,7 +90,7 @@ TEST(DiskStore, TruncatedObjectIsAMissAndIsRewritten) {
 TEST(DiskStore, GarbageAndWrongKeyObjectsAreMisses) {
   const auto dir = test_dir("garbage");
   disk_store store(dir.string());
-  const auto key = full_key("fft", fast_options());
+  const auto key = report_key("fft", fast_options());
   const auto obj = dir / "objects" / (hash_hex(key) + ".stx");
 
   {
@@ -109,7 +109,7 @@ TEST(DiskStore, GarbageAndWrongKeyObjectsAreMisses) {
                   std::istreambuf_iterator<char>());
     return s;
   }();
-  const auto other_line = encode(full_key("other-app", fast_options()));
+  const auto other_line = encode(report_key("other-app", fast_options()));
   const auto key_line = encode(key);
   envelope.replace(envelope.find(key_line), key_line.size(), other_line);
   {
@@ -233,25 +233,21 @@ TEST(PersistentCache, SecondCacheInstanceServesWithoutSimulating) {
   {
     trace_cache cache(std::make_shared<disk_store>(dir.string()));
     (void)cache.traces(app, opts);
-    (void)cache.full_metrics(app, opts);
     const auto stats = cache.stats();
     EXPECT_EQ(stats.trace_misses, 1);
-    EXPECT_EQ(stats.full_misses, 1);
     EXPECT_EQ(stats.trace_store_hits, 0);
   }
-  // A fresh cache over a fresh store on the same directory: both stages
-  // load from disk — `misses` (simulations actually run) stays 0.
+  // A fresh cache over a fresh store on the same directory: the traces
+  // and the full-crossbar reference load from disk as one object —
+  // `misses` (simulations actually run) stays 0.
   trace_cache cache(std::make_shared<disk_store>(dir.string()));
   const auto traces = cache.traces(app, opts);
-  const auto metrics = cache.full_metrics(app, opts);
   ASSERT_NE(traces, nullptr);
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_GT(metrics->avg_latency, 0.0);
+  EXPECT_GT(traces->full.avg_latency, 0.0);
+  EXPECT_EQ(*traces, xbar::collect_traces(app, opts));
   const auto stats = cache.stats();
   EXPECT_EQ(stats.trace_misses, 0);
-  EXPECT_EQ(stats.full_misses, 0);
   EXPECT_EQ(stats.trace_store_hits, 1);
-  EXPECT_EQ(stats.full_store_hits, 1);
   fs::remove_all(dir);
 }
 
@@ -309,7 +305,11 @@ TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
     cold = std::move(result.report);
   }
   const auto before = obs::snapshot();
-  ASSERT_GT(before.counter("sim.runs"), 0);
+  // A cold validated design simulates twice: the phase-1 run (which is
+  // also the full-crossbar reference) and the designed configuration.
+  // It writes two store objects: the traces and the report.
+  ASSERT_EQ(before.counter("sim.runs"), 2);
+  EXPECT_EQ(before.counter("store.disk.puts"), 2);
   ASSERT_GT(before.counter("milp.solves"), 0);
 
   {
@@ -370,7 +370,6 @@ TEST(PersistentCache, SweepRerunServesDesignedMetricsFromStore) {
   // Every point's designed metrics came off disk; nothing simulated.
   EXPECT_EQ(warm.designed_store_hits, 3);
   EXPECT_EQ(warm.phase1_simulations, 0);
-  EXPECT_EQ(warm.full_simulations, 0);
   const auto after = obs::snapshot();
   EXPECT_EQ(after.counter("sim.runs"), before.counter("sim.runs"));
   EXPECT_EQ(after.counter("sim.events_processed"),

@@ -31,10 +31,16 @@ TEST(Sweep, SharesOnePhase1SimulationAcrossAllPoints) {
   const auto report = run_sweep(small_spec(), cache);
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.phase1_simulations, 1);
-  EXPECT_EQ(report.full_simulations, 1);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.trace_misses, 1);
   EXPECT_EQ(stats.trace_hits, 3);
+  // That one run is also every point's full-crossbar reference.
+  const auto spec = small_spec();
+  const auto reference = xbar::validate_full_crossbars(
+      spec.apps[0], options_for(spec, sweep_points(spec).front()));
+  for (const auto& r : report.results) {
+    EXPECT_EQ(r.report.full, reference) << r.point.to_string();
+  }
 }
 
 TEST(Sweep, PointReportsEqualTheSerialDesignFlow) {
@@ -88,13 +94,13 @@ TEST(Sweep, ValidationOffSkipsPhase4ButKeepsDesigns) {
   auto spec = small_spec();
   spec.validate = false;
   const auto report = run_sweep(spec);
-  EXPECT_EQ(report.full_simulations, 0);
   EXPECT_EQ(report.phase1_simulations, 1);
   EXPECT_TRUE(report.pareto.empty());
   for (const auto& r : report.results) {
     EXPECT_FALSE(r.validated);
     EXPECT_GT(r.total_buses(), 0);
     EXPECT_EQ(r.avg_latency(), 0.0);
+    EXPECT_EQ(r.report.full, xbar::validation_metrics{});
     // Synthesis-only reports stay complete for the gen:: backends:
     // padded endpoint names and the phase-1 traffic matrices.
     EXPECT_EQ(r.report.target_names.size(),

@@ -82,18 +82,21 @@ TEST(TraceCache, ConcurrentRequestersSimulateExactlyOnce) {
   }
 }
 
-TEST(TraceCache, FullMetricsAreCachedIndependently) {
+TEST(TraceCache, TracesCarryTheFullCrossbarReference) {
+  // The phase-1 run is the full-crossbar reference: one cached
+  // simulation serves both, and its metrics equal a separate
+  // full-crossbar validation run bit for bit.
   trace_cache cache;
   const auto app = small_app();
   const auto opts = fast_options();
-  const auto a = cache.full_metrics(app, opts);
-  const auto b = cache.full_metrics(app, opts);
+  const auto a = cache.traces(app, opts);
+  const auto b = cache.traces(app, opts);
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_GT(a->avg_latency, 0.0);
+  EXPECT_GT(a->full.avg_latency, 0.0);
+  EXPECT_EQ(a->full, xbar::validate_full_crossbars(app, opts));
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.full_misses, 1);
-  EXPECT_EQ(stats.full_hits, 1);
-  EXPECT_EQ(stats.trace_misses, 0);  // no trace was ever requested
+  EXPECT_EQ(stats.trace_misses, 1);
+  EXPECT_EQ(stats.trace_hits, 1);
 }
 
 }  // namespace

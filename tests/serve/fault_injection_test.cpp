@@ -146,7 +146,7 @@ TEST_F(FaultInjection, StorePutFailureDegradesToComputedNeverToError) {
   opts.workers = 1;
   opts.cache_dir = dir.string();
   service svc(opts);
-  // Every write-through (traces, full reference, report) fails — the
+  // Every write-through (traces, report) fails — the
   // request must still succeed, served as freshly computed.
   const auto resp = svc.submit(quick_request("a")).get();
   EXPECT_TRUE(resp.ok) << resp.error;

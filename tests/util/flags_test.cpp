@@ -61,13 +61,30 @@ TEST(Flags, BooleanExplicitValues) {
 
 TEST(Flags, RejectsGarbageNumbers) {
   const auto f = parse({"--n=abc"});
-  EXPECT_THROW(f.get_int("n", 0), invalid_argument_error);
-  EXPECT_THROW(f.get_double("n", 0), invalid_argument_error);
+  EXPECT_THROW(f.get_int("n", 0), flag_error);
+  EXPECT_THROW(f.get_double("n", 0), flag_error);
 }
 
 TEST(Flags, RejectsGarbageBool) {
   const auto f = parse({"--b=maybe"});
-  EXPECT_THROW(f.get_bool("b", false), invalid_argument_error);
+  EXPECT_THROW(f.get_bool("b", false), flag_error);
+}
+
+TEST(Flags, RejectsOutOfRangeAndNonFiniteNumbers) {
+  // strtoll saturates and strtod accepts "inf"/"nan": neither may pass
+  // silently as a value the user did not type.
+  EXPECT_THROW(parse({"--n=99999999999999999999"}).get_int("n", 0),
+               flag_error);
+  EXPECT_THROW(parse({"--x=inf"}).get_double("x", 0), flag_error);
+  EXPECT_THROW(parse({"--x=nan"}).get_double("x", 0), flag_error);
+  EXPECT_THROW(parse({"--x=1e999"}).get_double("x", 0), flag_error);
+  EXPECT_EQ(parse({"--n=-9223372036854775807"}).get_int("n", 0),
+            -9223372036854775807LL);
+}
+
+TEST(Flags, FlagErrorIsAnInvalidArgument) {
+  // Library callers that catch the broader type keep working.
+  EXPECT_THROW(parse({"--n=x"}).get_int("n", 0), invalid_argument_error);
 }
 
 TEST(Flags, LaterValueWins) {
