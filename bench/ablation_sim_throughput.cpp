@@ -111,7 +111,8 @@ measurement best_of(const workloads::app_spec& app, traffic::cycle_t horizon,
   return best;
 }
 
-/// The bench body; bench::run_main owns flag parsing and usage errors.
+/// The bench body; stx::run_flagged_main owns flag parsing and usage
+/// errors.
 int run(const flag_set& flags) {
   const traffic::cycle_t horizon = flags.get_int("horizon", 200'000);
   const int repeats = static_cast<int>(flags.get_int("repeats", 3));
@@ -203,5 +204,6 @@ int run(const flag_set& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv, {"horizon", "repeats", "json"}, run);
+  return stx::run_flagged_main(argc, argv, "bench",
+                               {"horizon", "repeats", "json"}, run);
 }

@@ -166,7 +166,8 @@ bool results_identical(const milp::bb_result& a, const milp::bb_result& b) {
          a.waves == b.waves;
 }
 
-/// The bench body; bench::run_main owns flag parsing and usage errors.
+/// The bench body; stx::run_flagged_main owns flag parsing and usage
+/// errors.
 int run(const flag_set& flags) {
   const traffic::cycle_t horizon = flags.get_int("horizon", 8'000);
   const int repeats = static_cast<int>(flags.get_int("repeats", 3));
@@ -363,8 +364,9 @@ int run(const flag_set& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_main(argc, argv,
-                         {"horizon", "repeats", "scenarios", "max-targets",
-                          "threads", "big-fabric", "json"},
-                         run);
+  return stx::run_flagged_main(argc, argv, "bench",
+                               {"horizon", "repeats", "scenarios",
+                                "max-targets", "threads", "big-fabric",
+                                "json"},
+                               run);
 }

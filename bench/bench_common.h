@@ -15,32 +15,6 @@
 
 namespace stx::bench {
 
-/// The entry point every flagged bench shares: parses the command line
-/// and runs `body(flags)`, returning its exit code. Bad usage exits 2
-/// with the known-flag list — an unknown flag before the body starts, a
-/// malformed value (stx::flag_error) wherever the body reads it. Bench
-/// output feeds CI artifacts (BENCH_*.json), so a typo'd flag must
-/// neither fall back to a default nor escape main and abort — the same
-/// contract as xbargen/xbar-sweep.
-template <typename Body>
-int run_main(int argc, char** argv, const std::vector<std::string>& known,
-             Body&& body) {
-  const flag_set flags(argc, argv);
-  const auto usage = [&known] {
-    std::fprintf(stderr, "bench: known flags:");
-    for (const auto& k : known) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
-  };
-  if (report_unknown_flags(flags, known, "bench") > 0) return usage();
-  try {
-    return body(flags);
-  } catch (const flag_error& e) {
-    std::fprintf(stderr, "bench: %s\n", e.what());
-    return usage();
-  }
-}
-
 /// Floors a measured duration away from zero so derived rates stay
 /// finite (sub-resolution runs at tiny horizons would otherwise put inf
 /// into the JSON, which gen::json refuses to serialise).

@@ -27,7 +27,8 @@
 
 namespace {
 
-/// The bench body; bench::run_main owns flag parsing and usage errors.
+/// The bench body; stx::run_flagged_main owns flag parsing and usage
+/// errors.
 int run(const stx::flag_set& flags) {
   using namespace stx;
   bench::print_header(
@@ -90,6 +91,7 @@ int run(const stx::flag_set& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return stx::bench::run_main(argc, argv,
-                              {"horizon", "threads", "validate", "json"}, run);
+  return stx::run_flagged_main(argc, argv, "bench",
+                               {"horizon", "threads", "validate", "json"},
+                               run);
 }

@@ -109,7 +109,8 @@ round_result run_round(const std::string& socket_path,
   return r;
 }
 
-/// The bench body; bench::run_main owns flag parsing and usage errors.
+/// The bench body; stx::run_flagged_main owns flag parsing and usage
+/// errors.
 int run(const flag_set& flags) {
   const auto horizon = flags.get_int("horizon", 20'000);
   const int requests = static_cast<int>(flags.get_int("requests", 48));
@@ -196,6 +197,7 @@ int run(const flag_set& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run_main(
-      argc, argv, {"horizon", "requests", "workers", "json", "help"}, run);
+  return stx::run_flagged_main(
+      argc, argv, "bench", {"horizon", "requests", "workers", "json", "help"},
+      run);
 }

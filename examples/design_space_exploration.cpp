@@ -20,16 +20,13 @@ stx::workloads::app_spec pick_app(const std::string& name) {
   if (!app.has_value()) {
     std::fprintf(stderr, "unknown --app=%s (%s)\n", name.c_str(),
                  stx::workloads::app_name_list().c_str());
-    std::exit(1);
+    std::exit(2);
   }
   return *std::move(app);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const stx::flag_set& flags) {
   using namespace stx;
-  const flag_set flags(argc, argv);
   const auto app = pick_app(flags.get_string("app", "mat2"));
 
   xbar::flow_options opts;
@@ -74,4 +71,11 @@ int main(int argc, char** argv) {
     std::printf("%s", t.render().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stx::run_flagged_main(argc, argv, "design_space_exploration",
+                               {"app", "csv", "horizon"}, run);
 }

@@ -12,9 +12,10 @@
 #include "workloads/mpsoc_apps.h"
 #include "xbar/flow.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const stx::flag_set& flags) {
   using namespace stx;
-  const flag_set flags(argc, argv);
 
   const auto app = workloads::make_mat2();
   xbar::flow_options opts;
@@ -84,4 +85,11 @@ int main(int argc, char** argv) {
               report.designed_buses);
   std::printf("  component savings : %.2fx\n", report.savings());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stx::run_flagged_main(argc, argv, "mat2_design_flow",
+                               {"horizon", "window"}, run);
 }

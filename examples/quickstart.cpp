@@ -11,8 +11,9 @@
 #include "workloads/mpsoc_apps.h"
 #include "xbar/flow.h"
 
-int main(int argc, char** argv) {
-  const stx::flag_set flags(argc, argv);
+namespace {
+
+int run(const stx::flag_set& flags) {
 
   // The application: 9 ARM cores, 9 private memories, shared memory,
   // semaphore and interrupt device (21 cores, Fig. 2a).
@@ -46,4 +47,12 @@ int main(int argc, char** argv) {
               report.designed.max_latency,
               report.designed.max_latency / report.full.max_latency);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stx::run_flagged_main(argc, argv, "quickstart",
+                               {"horizon", "window", "threshold", "maxtb"},
+                               run);
 }

@@ -15,9 +15,10 @@
 #include "workloads/mpsoc_apps.h"
 #include "xbar/flow.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const stx::flag_set& flags) {
   using namespace stx;
-  const flag_set flags(argc, argv);
 
   const auto app = workloads::make_mat2_critical();
   xbar::flow_options opts;
@@ -81,4 +82,11 @@ int main(int argc, char** argv) {
       "level\n(paper: \"almost equal to the latency of perfect "
       "communication\").\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stx::run_flagged_main(argc, argv, "realtime_streams", {"horizon"},
+                               run);
 }

@@ -44,11 +44,6 @@ void print_usage(std::FILE* to) {
       "reqwin respwin\n"
       "  --threads=N         worker threads (default: hardware "
       "concurrency)\n"
-      "  --batch=N           lockstep validation cohort size; <=1 runs "
-      "one\n"
-      "                      session per point (32; reports are "
-      "bit-identical\n"
-      "                      for every batch size and thread count)\n"
       "  --horizon=N         simulation cycles (120000)\n"
       "  --seed=N            simulator seed (1)\n"
       "  --solver-node-limit=N  branch & bound node budget per solve "
@@ -61,8 +56,9 @@ void print_usage(std::FILE* to) {
       "  --solver-portfolio=BOOL  race the specialized solver against\n"
       "                      the MILP on feasibility probes (false)\n"
       "  --validate=BOOL     per-point validation simulation (true)\n"
-      "  --cache-dir=DIR     persistent phase-1 result store shared with\n"
-      "                      xbargen / xbar-fuzz / xbar-serve\n"
+      "  --cache-dir=DIR     persistent phase-1 and validation result\n"
+      "                      store shared with xbargen / xbar-fuzz /\n"
+      "                      xbar-serve; a warm re-run simulates nothing\n"
       "  --cache-max-bytes=N evict oldest-accessed store entries over\n"
       "                      this cap at open (0 = unlimited)\n"
       "  --out-dir=DIR       write <basename>.json/.csv/.md artifacts\n"
@@ -74,7 +70,7 @@ void print_usage(std::FILE* to) {
 }
 
 const std::vector<std::string> kKnownFlags = {
-    "app",      "grid",     "threads",  "batch",  "horizon",      "seed",
+    "app",      "grid",     "threads",  "horizon",      "seed",
     "solver-node-limit",    "solver-time-ms",
     "solver-threads", "solver-cuts", "solver-portfolio",
     "validate", "out-dir",  "basename", "compare-serial", "help",
@@ -179,14 +175,10 @@ int main(int argc, char** argv) {
     const int hw =
         std::max(1u, std::thread::hardware_concurrency());
     spec.threads = static_cast<int>(flags.get_int("threads", hw));
-    spec.batch_size = static_cast<int>(flags.get_int("batch", 32));
 
     const auto points = explore::sweep_points(spec);
-    std::printf(
-        "sweeping %zu point(s) x %zu app(s) on %d thread(s), "
-        "validation cohorts of %d\n",
-        points.size(), spec.apps.size(), spec.threads,
-        std::max(spec.batch_size, 1));
+    std::printf("sweeping %zu point(s) x %zu app(s) on %d thread(s)\n",
+                points.size(), spec.apps.size(), spec.threads);
 
     // With --cache-dir the phase-1 cache is backed by the persistent
     // store: a re-run (or any other CLI on the same directory) serves
@@ -210,8 +202,10 @@ int main(int argc, char** argv) {
                 report.results.size());
     if (store != nullptr) {
       const auto cs = cache.stats();
-      std::printf("persistent cache: %lld trace load(s) served from %s\n",
+      std::printf("persistent cache: %lld trace load(s) and %lld designed "
+                  "validation(s) served from %s\n",
                   static_cast<long long>(cs.trace_store_hits),
+                  static_cast<long long>(report.designed_store_hits),
                   cache_dir.c_str());
     }
 

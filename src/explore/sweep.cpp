@@ -44,25 +44,41 @@ xbar::flow_options options_for(const sweep_spec& spec,
 
 namespace {
 
-/// Phases 2+ for one point against the cached phase-1 state. With
-/// `defer_designed`, the designed-configuration simulation is left to the
-/// caller's batched validation pass: the report comes back with the full-
-/// crossbar reference filled but `designed` zeroed.
+/// Phases 2-4 for one point against the cached phase-1 state. With a
+/// persistent store behind the cache, the point's designed metrics are
+/// content-addressed under the stage=metrics key: a hit skips the
+/// phase-4 simulation (a warm result is bit-identical to a fresh one by
+/// the codec round-trip contract), a miss simulates and writes through.
 sweep_result evaluate_point(const sweep_spec& spec,
                             const workloads::app_spec& app,
                             const sweep_point& point, trace_cache& cache,
-                            bool defer_designed) {
+                            std::atomic<std::int64_t>& designed_store_hits) {
   const auto opts = options_for(spec, point);
   const auto traces = cache.traces(app, opts);
   sweep_result result;
   result.app_name = app.name;
   result.point = point;
   result.validated = spec.validate;
-  result.report = xbar::design_from_traces(
-      app, *traces, opts,
-      spec.validate && !defer_designed ? xbar::validation_mode::validate
-                                       : xbar::validation_mode::skip);
-  if (spec.validate && defer_designed) result.report.full = traces->full;
+  result.report = xbar::synthesize_design(app, *traces, opts);
+  if (!spec.validate) return result;
+  kv_store* const store = cache.backing();
+  if (store != nullptr) {
+    if (auto blob = store->get(metrics_key(app.name, opts))) {
+      try {
+        result.report.designed = decode_metrics(*blob);
+        result.report.full = traces->full;
+        ++designed_store_hits;
+        return result;
+      } catch (const std::exception&) {
+        // Undecodable object: re-simulate (the put below heals it).
+      }
+    }
+  }
+  xbar::validate_design(app, *traces, opts, result.report);
+  if (store != nullptr) {
+    store->put(metrics_key(app.name, opts),
+               encode_metrics(result.report.designed));
+  }
   return result;
 }
 
@@ -122,10 +138,10 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
 
   const auto stats_before = cache.stats();
   const auto by_app_before = cache.stats_by_app();
-  const bool batched_validation = spec.validate && spec.batch_size > 1;
   std::vector<sweep_result> results(jobs.size());
   std::vector<std::exception_ptr> errors(jobs.size());
   std::atomic<std::size_t> next{0};
+  std::atomic<std::int64_t> designed_store_hits{0};
   const auto worker = [&](int worker_index) {
     // One span per worker thread: its duration against the sweep span's
     // is the worker's utilization, and each claimed job lands as a child
@@ -140,7 +156,7 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
       try {
         obs::span jsp("explore.point", {{"app", jobs[i].app->name}});
         results[i] = evaluate_point(spec, *jobs[i].app, *jobs[i].point, cache,
-                                    batched_validation);
+                                    designed_store_hits);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -148,106 +164,8 @@ sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache) {
     wsp.set_attr({"jobs", claimed});
   };
   run_workers(spec.threads, jobs.size(), worker);
-
-  std::int64_t designed_store_hits = 0;
-  if (batched_validation) {
-    // ---- Batched phase 4. The synthesis pass above left every report's
-    // `designed` metrics empty; pack same-app design points into cohorts
-    // of spec.batch_size and run each cohort as one lockstep sim::batch.
-    // Per-instance results are independent of cohort membership (and a
-    // batch instance is bit-identical to a session), so the report does
-    // not depend on batch size or on which worker claims which cohort.
-    //
-    // With a persistent store behind the cache, each point's designed
-    // metrics are content-addressed under the stage=metrics key: hits
-    // drop out of the cohorts entirely (a re-run of the same sweep skips
-    // the whole batched re-simulation), and every simulated result is
-    // written through for the next run. Safe because a warm result is
-    // bit-identical to a fresh one by the codec round-trip contract.
-    kv_store* const store = cache.backing();
-    std::vector<std::vector<std::size_t>> cohorts;
-    const auto width = static_cast<std::size_t>(spec.batch_size);
-    for (std::size_t a = 0; a < num_apps; ++a) {
-      std::vector<std::size_t> eligible;
-      for (std::size_t p = 0; p < num_points; ++p) {
-        const std::size_t i = a * num_points + p;
-        if (errors[i] != nullptr) continue;
-        if (store != nullptr) {
-          const auto key = metrics_key(jobs[i].app->name,
-                                       options_for(spec, *jobs[i].point));
-          if (auto blob = store->get(key)) {
-            try {
-              results[i].report.designed = decode_metrics(*blob);
-              ++designed_store_hits;
-              continue;
-            } catch (const std::exception&) {
-              // Undecodable object: re-simulate (the put below heals it).
-            }
-          }
-        }
-        eligible.push_back(i);
-      }
-      for (std::size_t off = 0; off < eligible.size(); off += width) {
-        const auto end = std::min(eligible.size(), off + width);
-        cohorts.emplace_back(
-            eligible.begin() + static_cast<std::ptrdiff_t>(off),
-            eligible.begin() + static_cast<std::ptrdiff_t>(end));
-      }
-    }
-    std::atomic<std::size_t> next_cohort{0};
-    const auto validate_worker = [&](int) {
-      for (std::size_t c = next_cohort.fetch_add(1); c < cohorts.size();
-           c = next_cohort.fetch_add(1)) {
-        const auto& members = cohorts[c];
-        const auto& app = *jobs[members.front()].app;
-        try {
-          const auto designed_configs = [&](std::size_t i) {
-            const auto opts = options_for(spec, *jobs[i].point);
-            const auto& report = results[i].report;
-            return xbar::validation_job{
-                report.request_design.to_config(opts.policy,
-                                                opts.transfer_overhead),
-                report.response_design.to_config(opts.policy,
-                                                 opts.transfer_overhead),
-                opts};
-          };
-          const auto store_metrics = [&](std::size_t i) {
-            if (store == nullptr) return;
-            store->put(metrics_key(app.name, options_for(spec, *jobs[i].point)),
-                       encode_metrics(results[i].report.designed));
-          };
-          if (members.size() == 1) {
-            // Odd-shaped straggler: one plain sim::session (identical
-            // result by the batch bit-identity contract, without the
-            // SoA setup cost).
-            const std::size_t i = members.front();
-            const auto vjob = designed_configs(i);
-            results[i].report.designed = xbar::validate_configuration(
-                app, vjob.request, vjob.response, vjob.opts);
-            store_metrics(i);
-            continue;
-          }
-          std::vector<xbar::validation_job> vjobs;
-          vjobs.reserve(members.size());
-          for (const std::size_t i : members) {
-            vjobs.push_back(designed_configs(i));
-          }
-          const auto metrics = xbar::validate_configurations(app, vjobs);
-          for (std::size_t m = 0; m < members.size(); ++m) {
-            results[members[m]].report.designed = metrics[m];
-            store_metrics(members[m]);
-          }
-        } catch (...) {
-          for (const std::size_t i : members) {
-            errors[i] = std::current_exception();
-          }
-        }
-      }
-    };
-    run_workers(spec.threads, cohorts.size(), validate_worker);
-    if (designed_store_hits > 0) {
-      obs::add_counter("explore.designed.store_hits", designed_store_hits);
-    }
+  if (designed_store_hits > 0) {
+    obs::add_counter("explore.designed.store_hits", designed_store_hits);
   }
 
   // Rethrow the first failure in job order (deterministic, like the

@@ -48,15 +48,6 @@ struct sweep_spec {
 
   /// Worker threads; values < 1 and 1 both run inline on the caller.
   int threads = 1;
-
-  /// Cohort size for batched phase-4 validation: the scheduler packs up
-  /// to this many same-app design points into one lockstep sim::batch
-  /// (observer harvesting, no traces) instead of one sim::session each.
-  /// Values <= 1 validate per-session (the legacy path); single-job
-  /// straggler cohorts fall back to sim::session either way. Reports are
-  /// bit-identical across batch sizes AND thread counts — the same
-  /// determinism discipline as the worker pool.
-  int batch_size = 32;
 };
 
 /// The deduplicated evaluation points of `spec` (grid expansion followed
@@ -70,7 +61,9 @@ xbar::flow_options options_for(const sweep_spec& spec,
 
 /// Runs the sweep on `spec.threads` workers, sharing phase-1 work via
 /// `cache` (callers may pass a warm cache, or keep it to inspect hit
-/// statistics afterwards). Throws stx::invalid_argument_error on an
+/// statistics afterwards). Each point validates inline; with a backing
+/// store, its designed metrics are read from and written to the store's
+/// stage=metrics entries, so a warm re-run simulates nothing. Throws stx::invalid_argument_error on an
 /// empty app list, duplicate app names, or zero points. The report is
 /// bit-identical across thread counts.
 sweep_report run_sweep(const sweep_spec& spec, trace_cache& cache);

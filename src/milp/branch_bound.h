@@ -18,7 +18,7 @@
 //    incumbent publication, child creation. Because each LP solve is a
 //    pure function of (bounds, warm basis) and the merge order is fixed,
 //    `bb_result` is bit-identical across thread counts (the contract the
-//    sweep engine and sim::batch pin; the only caveat is a wall-clock
+//    sweep engine pins; the only caveat is a wall-clock
 //    limit actually firing, which truncates the search at a
 //    timing-dependent wave).
 //

@@ -17,31 +17,22 @@ namespace {
 
 class fixed_priority_arbiter final : public arbiter {
  public:
-  int pick(const std::vector<bool>& requesting, cycle_t) override {
-    for (std::size_t p = 0; p < requesting.size(); ++p) {
-      if (requesting[p]) return static_cast<int>(p);
-    }
-    return -1;
+  int pick(const port_mask& requesting, cycle_t) override {
+    return requesting.first_from(0);
   }
 };
 
 class round_robin_arbiter final : public arbiter {
  public:
-  explicit round_robin_arbiter(int num_ports) : num_ports_(num_ports) {}
-
-  int pick(const std::vector<bool>& requesting, cycle_t) override {
-    for (int k = 0; k < num_ports_; ++k) {
-      const int p = (last_ + 1 + k) % num_ports_;
-      if (requesting[static_cast<std::size_t>(p)]) {
-        last_ = p;
-        return p;
-      }
-    }
-    return -1;
+  int pick(const port_mask& requesting, cycle_t) override {
+    // First requester after the last grant, wrapping to the lowest.
+    int p = requesting.first_from(last_ + 1);
+    if (p < 0) p = requesting.first_from(0);
+    if (p >= 0) last_ = p;
+    return p;
   }
 
  private:
-  int num_ports_;
   int last_ = -1;
 };
 
@@ -50,14 +41,15 @@ class lrg_arbiter final : public arbiter {
   explicit lrg_arbiter(int num_ports)
       : last_grant_(static_cast<std::size_t>(num_ports), -1) {}
 
-  int pick(const std::vector<bool>& requesting, cycle_t now) override {
+  int pick(const port_mask& requesting, cycle_t now) override {
     int best = -1;
     cycle_t best_time = 0;
-    for (std::size_t p = 0; p < requesting.size(); ++p) {
-      if (!requesting[p]) continue;
-      if (best < 0 || last_grant_[p] < best_time) {
-        best = static_cast<int>(p);
-        best_time = last_grant_[p];
+    for (int p = requesting.first_from(0); p >= 0;
+         p = requesting.first_from(p + 1)) {
+      const cycle_t t = last_grant_[static_cast<std::size_t>(p)];
+      if (best < 0 || t < best_time) {
+        best = p;
+        best_time = t;
       }
     }
     if (best >= 0) last_grant_[static_cast<std::size_t>(best)] = now;
@@ -76,7 +68,7 @@ std::unique_ptr<arbiter> make_arbiter(arbitration policy, int num_ports) {
     case arbitration::fixed_priority:
       return std::make_unique<fixed_priority_arbiter>();
     case arbitration::round_robin:
-      return std::make_unique<round_robin_arbiter>(num_ports);
+      return std::make_unique<round_robin_arbiter>();
     case arbitration::least_recently_granted:
       return std::make_unique<lrg_arbiter>(num_ports);
   }

@@ -13,7 +13,7 @@ bus::bus(int id, int num_ports, arbitration policy, cycle_t overhead)
       overhead_(overhead),
       arbiter_(make_arbiter(policy, num_ports)),
       queues_(static_cast<std::size_t>(num_ports)),
-      requesting_(static_cast<std::size_t>(num_ports), false) {
+      requesting_(num_ports) {
   STX_REQUIRE(overhead >= 0, "bus overhead must be non-negative");
 }
 
@@ -21,30 +21,19 @@ void bus::enqueue(int port, const packet& p) {
   STX_REQUIRE(port >= 0 && port < num_ports_, "bus port out of range");
   STX_REQUIRE(p.cells > 0, "packet must occupy at least one cell");
   auto& q = queues_[static_cast<std::size_t>(port)];
+  if (q.empty()) requesting_.set(port);
   q.push_back(p);
   max_depth_ = std::max(max_depth_, static_cast<int>(q.size()));
 }
 
-bool bus::has_backlog() const {
-  for (const auto& q : queues_) {
-    if (!q.empty()) return true;
-  }
-  return false;
-}
-
 bool bus::start_transfer(cycle_t now) {
-  bool any = false;
-  for (int p = 0; p < num_ports_; ++p) {
-    const bool req = !queues_[static_cast<std::size_t>(p)].empty();
-    requesting_[static_cast<std::size_t>(p)] = req;
-    any = any || req;
-  }
-  if (!any) return false;
+  if (!requesting_.any()) return false;
   const int granted = arbiter_->pick(requesting_, now);
   STX_ENSURE(granted >= 0, "arbiter returned no grant despite requests");
   auto& q = queues_[static_cast<std::size_t>(granted)];
   current_ = q.front();
   q.pop_front();
+  if (q.empty()) requesting_.reset(granted);
   transferring_ = true;
   // The grant cycle itself is the first overhead cycle. The recorded
   // receive interval spans the packet's whole bus occupancy (overhead +
@@ -55,11 +44,11 @@ bool bus::start_transfer(cycle_t now) {
   return true;
 }
 
-void bus::complete(const deliver_fn& deliver) {
+delivery bus::complete() {
   busy_cycles_ += transfer_end_ - busy_from_;
   transferring_ = false;
   ++delivered_;
-  deliver(current_, recv_begin_, transfer_end_);
+  return {current_, recv_begin_, transfer_end_};
 }
 
 void bus::step(cycle_t now, const deliver_fn& deliver) {
@@ -85,24 +74,19 @@ void bus::step(cycle_t now, const deliver_fn& deliver) {
   }
 }
 
-void bus::wake(cycle_t now, const deliver_fn& deliver) {
+std::optional<delivery> bus::wake(cycle_t now) {
   if (transferring_) {
     // Completion wake — or a spurious one (backlog wake while busy),
     // which must change nothing. The polling loop only arbitrates the
     // cycle AFTER a completion, so no new transfer starts here; the
     // engine re-arms us for the next cycle.
-    if (now + 1 >= transfer_end_) complete(deliver);
-    return;
+    if (now + 1 >= transfer_end_) return complete();
+    return std::nullopt;
   }
-  if (!start_transfer(now)) return;
+  if (!start_transfer(now)) return std::nullopt;
   busy_from_ = now;
-  if (now + 1 >= transfer_end_) complete(deliver);
-}
-
-cycle_t bus::next_wake(cycle_t earliest) const {
-  if (transferring_) return std::max(transfer_end_ - 1, earliest);
-  if (has_backlog()) return earliest;
-  return no_wake;
+  if (now + 1 >= transfer_end_) return complete();
+  return std::nullopt;
 }
 
 void bus::sync_busy(cycle_t now) {

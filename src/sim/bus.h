@@ -1,12 +1,15 @@
 // Single bus: the serialising resource of an STbus crossbar.
 #pragma once
 
-#include <deque>
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/arbiter.h"
+#include "sim/event_queue.h"
+#include "sim/flat_queue.h"
 #include "sim/packet.h"
 
 namespace stx::sim {
@@ -17,6 +20,14 @@ namespace stx::sim {
 /// which is what the traffic trace records (Eq. 4 budgets bus capacity).
 using deliver_fn =
     std::function<void(const packet&, cycle_t recv_begin, cycle_t recv_end)>;
+
+/// A packet whose last cell reached its destination, with the receive
+/// span deliver_fn reports.
+struct delivery {
+  packet p;
+  cycle_t recv_begin = 0;
+  cycle_t recv_end = 0;
+};
 
 /// One bus of a crossbar (Fig. 1): every initiator has an input port; the
 /// arbiter grants one packet at a time; a granted packet occupies the bus
@@ -45,12 +56,17 @@ class bus {
   /// completion rather than one per call — so skipped cycles still count;
   /// sync_busy() settles the in-flight span at a run boundary. One bus
   /// instance must stick to one kernel (step xor wake) for its lifetime.
-  void wake(cycle_t now, const deliver_fn& deliver);
+  /// Returns the packet this call delivered, if any (at most one).
+  std::optional<delivery> wake(cycle_t now);
 
   /// Earliest cycle >= `earliest` at which wake() does real work: the
   /// in-flight transfer's completion cycle, `earliest` itself when idle
   /// with a backlog, or no_wake when fully drained.
-  cycle_t next_wake(cycle_t earliest) const;
+  cycle_t next_wake(cycle_t earliest) const {
+    if (transferring_) return std::max(transfer_end_ - 1, earliest);
+    if (has_backlog()) return earliest;
+    return no_wake;
+  }
 
   /// Accounts the busy span of an in-flight transfer up to `now`
   /// (exclusive) so busy_cycles() matches per-cycle stepping at a run
@@ -60,7 +76,7 @@ class bus {
   int id() const { return id_; }
   int num_ports() const { return num_ports_; }
   bool idle() const { return !transferring_; }
-  bool has_backlog() const;
+  bool has_backlog() const { return requesting_.any(); }
 
   /// Cycles this bus spent transferring (including overhead cycles).
   cycle_t busy_cycles() const { return busy_cycles_; }
@@ -74,13 +90,13 @@ class bus {
   int num_ports_;
   cycle_t overhead_;
   std::unique_ptr<arbiter> arbiter_;
-  std::vector<std::deque<packet>> queues_;
+  std::vector<flat_queue<packet>> queues_;
 
   /// Arbitrates among backlogged ports and loads the winner into
   /// current_/recv_begin_/transfer_end_; false when nothing requests.
   bool start_transfer(cycle_t now);
   /// Finishes the in-flight transfer: lazy busy accounting + delivery.
-  void complete(const deliver_fn& deliver);
+  delivery complete();
 
   bool transferring_ = false;
   packet current_{};
@@ -91,7 +107,7 @@ class bus {
   cycle_t busy_cycles_ = 0;
   std::int64_t delivered_ = 0;
   int max_depth_ = 0;
-  std::vector<bool> requesting_;  // scratch for the arbiter
+  port_mask requesting_;  ///< ports whose queue is non-empty
 };
 
 }  // namespace stx::sim

@@ -91,34 +91,19 @@ void crossbar::step(cycle_t now, const deliver_fn& deliver) {
   }
 }
 
-void crossbar::wake_bus(int k, cycle_t now, const deliver_fn& deliver) {
+std::optional<delivery> crossbar::wake_bus(int k, cycle_t now) {
   STX_REQUIRE(k >= 0 && k < num_buses(), "bus index out of range");
-  buses_[static_cast<std::size_t>(k)].wake(
-      now, [&](const packet& p, cycle_t rb, cycle_t re) {
-        const auto lat = static_cast<double>(re - p.issue);
-        latency_.add(lat);
-        if (p.critical) critical_latency_.add(lat);
-        deliver(p, rb, re);
-      });
-}
-
-cycle_t crossbar::bus_next_wake(int k, cycle_t earliest) const {
-  return bus_at(k).next_wake(earliest);
-}
-
-int crossbar::bus_for(int dest) const {
-  STX_REQUIRE(dest >= 0 && dest < static_cast<int>(cfg_.binding.size()),
-              "endpoint out of range");
-  return cfg_.binding[static_cast<std::size_t>(dest)];
+  auto d = buses_[static_cast<std::size_t>(k)].wake(now);
+  if (d) {
+    const auto lat = static_cast<double>(d->recv_end - d->p.issue);
+    latency_.add(lat);
+    if (d->p.critical) critical_latency_.add(lat);
+  }
+  return d;
 }
 
 void crossbar::sync_busy(cycle_t now) {
   for (auto& b : buses_) b.sync_busy(now);
-}
-
-const bus& crossbar::bus_at(int k) const {
-  STX_REQUIRE(k >= 0 && k < num_buses(), "bus index out of range");
-  return buses_[static_cast<std::size_t>(k)];
 }
 
 double crossbar::utilization(int k, cycle_t elapsed) const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/bus.h"
+#include "util/error.h"
 #include "util/stats.h"
 
 namespace stx::sim {
@@ -59,14 +60,21 @@ class crossbar {
   void step(cycle_t now, const deliver_fn& deliver);
 
   /// Event-kernel entry point: wakes one bus (same latency accounting as
-  /// step). See bus::wake for the call contract.
-  void wake_bus(int k, cycle_t now, const deliver_fn& deliver);
+  /// step) and returns the packet it delivered, if any. See bus::wake
+  /// for the call contract.
+  std::optional<delivery> wake_bus(int k, cycle_t now);
 
   /// Next wake cycle of bus `k` (no_wake when drained).
-  cycle_t bus_next_wake(int k, cycle_t earliest) const;
+  cycle_t bus_next_wake(int k, cycle_t earliest) const {
+    return bus_at(k).next_wake(earliest);
+  }
 
   /// The bus that receiving endpoint `dest` is bound to.
-  int bus_for(int dest) const;
+  int bus_for(int dest) const {
+    STX_REQUIRE(dest >= 0 && dest < static_cast<int>(cfg_.binding.size()),
+                "endpoint out of range");
+    return cfg_.binding[static_cast<std::size_t>(dest)];
+  }
 
   /// Settles lazy busy accounting of every bus up to `now` (event kernel
   /// run boundary).
@@ -74,7 +82,10 @@ class crossbar {
 
   const crossbar_config& config() const { return cfg_; }
   int num_buses() const { return static_cast<int>(buses_.size()); }
-  const bus& bus_at(int k) const;
+  const bus& bus_at(int k) const {
+    STX_REQUIRE(k >= 0 && k < num_buses(), "bus index out of range");
+    return buses_[static_cast<std::size_t>(k)];
+  }
 
   /// Per-packet latency (enqueue to last cell delivered), all packets.
   const running_stats& latency() const { return latency_; }

@@ -1,33 +1,32 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.h"
 
 namespace stx::sim {
 
+namespace {
+
+/// `timer_` value of a component with no pending wake.
+constexpr cycle_t timer_none = std::numeric_limits<cycle_t>::max();
+
+}  // namespace
+
 engine::engine(mpsoc_system& sys)
     : sys_(sys),
+      queue_(sys.now()),
       start_(sys.now()),
       num_cores_(static_cast<int>(sys.cores_.size())),
       num_request_buses_(sys.request_xbar_.num_buses()),
       num_targets_(static_cast<int>(sys.targets_.size())),
       num_response_buses_(sys.response_xbar_.num_buses()) {
-  last_stepped_.assign(
-      static_cast<std::size_t>(num_cores_ + num_request_buses_ +
-                               num_targets_ + num_response_buses_),
-      start_ - 1);
-}
-
-int engine::gid(int phase, int comp) const {
-  switch (phase) {
-    case phase_core: return comp;
-    case phase_request_bus: return num_cores_ + comp;
-    case phase_target: return num_cores_ + num_request_buses_ + comp;
-    case phase_response_bus:
-      return num_cores_ + num_request_buses_ + num_targets_ + comp;
-  }
-  throw internal_error("unknown engine phase");
+  phase_base_ = {0, num_cores_, num_cores_ + num_request_buses_,
+                 num_cores_ + num_request_buses_ + num_targets_};
+  timer_.assign(static_cast<std::size_t>(phase_base_[phase_response_bus] +
+                                         num_response_buses_),
+                timer_none);
 }
 
 void engine::schedule(int phase, int comp, cycle_t cycle) {
@@ -37,6 +36,9 @@ void engine::schedule(int phase, int comp, cycle_t cycle) {
   // Events at or past the horizon are dropped: seed() rebuilds every
   // still-needed wake from component state when the next run() starts.
   if (k.cycle >= horizon_) return;
+  auto& timer = timer_[static_cast<std::size_t>(gid(phase, comp))];
+  if (timer <= k.cycle) return;
+  timer = k.cycle;
   queue_.push(k);
 }
 
@@ -81,37 +83,41 @@ void engine::run(cycle_t horizon) {
              current_.cycle);
   };
 
-  const deliver_fn deliver_request = [&](const packet& p, cycle_t rb,
-                                         cycle_t re) {
+  const auto deliver_request = [&](const delivery& d) {
+    const packet& p = d.p;
     if (sys_.cfg_.record_traces) {
-      sys_.request_trace_.add({p.dest, p.source, rb, re, p.critical});
+      sys_.request_trace_.add(
+          {p.dest, p.source, d.recv_begin, d.recv_end, p.critical});
     }
     auto& target = sys_.targets_[static_cast<std::size_t>(p.dest)];
-    target.on_request(p, re);
+    target.on_request(p, d.recv_end);
     schedule(phase_target, p.dest, target.next_wake(current_.cycle));
   };
 
-  const deliver_fn deliver_response = [&](const packet& p, cycle_t rb,
-                                          cycle_t re) {
+  const auto deliver_response = [&](const delivery& d) {
+    const packet& p = d.p;
     if (sys_.cfg_.record_traces) {
-      sys_.response_trace_.add({p.dest, p.source, rb, re, p.critical});
+      sys_.response_trace_.add(
+          {p.dest, p.source, d.recv_begin, d.recv_end, p.critical});
     }
     auto& core = sys_.cores_[static_cast<std::size_t>(p.dest)];
-    core.on_response(p, re);
+    core.on_response(p, d.recv_end);
     schedule(phase_core, p.dest, core.next_wake(current_.cycle + 1));
   };
 
   processing_ = true;
   cycle_t last_cycle = start_ - 1;
-  while (!queue_.empty() && queue_.top().cycle < horizon) {
+  while (!queue_.empty()) {
     current_ = queue_.pop();
-    auto& stepped = last_stepped_[static_cast<std::size_t>(
+    auto& timer = timer_[static_cast<std::size_t>(
         gid(current_.phase, current_.component))];
-    if (stepped == current_.cycle) {
+    if (timer != current_.cycle) {
+      // Superseded by an earlier wake that already stepped (and re-armed)
+      // this component, or a duplicate of one just processed.
       ++stats_.events_skipped;
       continue;
     }
-    stepped = current_.cycle;
+    timer = timer_none;  // consumed; the step re-arms
     if (current_.cycle != last_cycle) {
       last_cycle = current_.cycle;
       ++stats_.cycles_visited;
@@ -130,7 +136,9 @@ void engine::run(cycle_t horizon) {
         break;
       }
       case phase_request_bus: {
-        sys_.request_xbar_.wake_bus(comp, now, deliver_request);
+        if (const auto d = sys_.request_xbar_.wake_bus(comp, now)) {
+          deliver_request(*d);
+        }
         schedule(phase_request_bus, comp,
                  sys_.request_xbar_.bus_next_wake(comp, now + 1));
         break;
@@ -142,7 +150,9 @@ void engine::run(cycle_t horizon) {
         break;
       }
       case phase_response_bus: {
-        sys_.response_xbar_.wake_bus(comp, now, deliver_response);
+        if (const auto d = sys_.response_xbar_.wake_bus(comp, now)) {
+          deliver_response(*d);
+        }
         schedule(phase_response_bus, comp,
                  sys_.response_xbar_.bus_next_wake(comp, now + 1));
         break;

@@ -9,8 +9,14 @@
 // could change state (compute completions, transfer completions, reply
 // ready times, barrier poll deadlines), external interactions (a request
 // enqueued, a reply delivered, a barrier arrival) push wakes for the
-// affected component, and whole idle spans are skipped in O(log n) per
-// event.
+// affected component, and whole idle spans are skipped.
+//
+// Each component carries at most ONE live wake (its timer): a wake later
+// than the pending one is superseded instead of queued. Whatever state
+// change prompted it is already in the component, so the step at the
+// pending cycle sees it and the post-step re-arm (next_wake over that
+// state) recomputes any later wake still needed. Queue keys that no
+// longer match their component's timer are stale and dropped at pop.
 //
 // Determinism contract: events are processed in (cycle, phase,
 // component) order, where the phases replicate the retired polling
@@ -24,6 +30,8 @@
 // "kernel-equivalence", now retired with the polling loop; tests/sim
 // still enforce segmented-run determinism).
 #pragma once
+
+#include <array>
 
 #include "sim/event_queue.h"
 #include "sim/system.h"
@@ -48,16 +56,24 @@ class engine {
   /// Queues a wake for (phase, comp). `cycle` may be no_wake (ignored) or
   /// lie in the past / at the event currently being processed — it is
   /// clamped forward so the wake lands strictly after the current event,
-  /// exactly when the polling loop would next visit the component.
+  /// exactly when the polling loop would next visit the component. A
+  /// pending wake at or before the clamped cycle supersedes it.
   void schedule(int phase, int comp, cycle_t cycle);
   /// Barrier arrival: re-wake every core (cores past their polling-loop
   /// slot this cycle see the change next cycle, the rest this cycle).
   void wake_all_cores();
-  int gid(int phase, int comp) const;
+  /// Flat component index: components numbered in (phase, component)
+  /// order.
+  int gid(int phase, int comp) const {
+    return phase_base_[static_cast<std::size_t>(phase)] + comp;
+  }
 
   mpsoc_system& sys_;
   event_queue queue_;
-  std::vector<cycle_t> last_stepped_;  ///< per gid, dedupes same-cycle wakes
+  /// Per gid: the cycle of the component's one live wake, or
+  /// timer_none. A popped key whose cycle differs is stale.
+  std::vector<cycle_t> timer_;
+  std::array<int, 4> phase_base_{};  ///< gid of each phase's component 0
   event_key current_{};
   cycle_t start_ = 0;
   cycle_t horizon_ = 0;

@@ -16,7 +16,7 @@ namespace stx::sim {
 /// Everything needed to instantiate a system around a set of programs.
 /// Simulation runs on the event-driven calendar-queue kernel
 /// (sim::engine): components register next-wake times and idle spans are
-/// skipped in O(log n) per event instead of O(components) per cycle. The
+/// skipped instead of costing O(components) per cycle. The
 /// legacy per-cycle polling loop soaked one release as the differential
 /// reference (testkit invariant "kernel-equivalence", bit-identical
 /// traces and statistics) and has been retired.

@@ -24,11 +24,6 @@ void memory_target::on_request(const packet& p, cycle_t now) {
   jobs_.push_back(j);
 }
 
-cycle_t memory_target::next_wake(cycle_t earliest) const {
-  if (jobs_.empty()) return no_wake;
-  return std::max(jobs_.front().ready_at, earliest);
-}
-
 void memory_target::step(cycle_t now, const send_fn& send) {
   while (!jobs_.empty() && jobs_.front().ready_at <= now) {
     const auto& req = jobs_.front().request;

@@ -1,9 +1,11 @@
 // Memory / peripheral target model.
 #pragma once
 
-#include <deque>
+#include <algorithm>
 #include <functional>
 
+#include "sim/event_queue.h"
+#include "sim/flat_queue.h"
 #include "sim/packet.h"
 
 namespace stx::sim {
@@ -34,7 +36,10 @@ class memory_target {
   /// Earliest cycle >= `earliest` a queued reply becomes ready, or
   /// no_wake when no job is pending (ready times are nondecreasing, so
   /// the front job is always the next one due).
-  cycle_t next_wake(cycle_t earliest) const;
+  cycle_t next_wake(cycle_t earliest) const {
+    if (jobs_.empty()) return no_wake;
+    return std::max(jobs_.front().ready_at, earliest);
+  }
 
   int id() const { return id_; }
   bool busy() const { return !jobs_.empty(); }
@@ -48,7 +53,7 @@ class memory_target {
 
   int id_;
   target_params params_;
-  std::deque<job> jobs_;
+  flat_queue<job> jobs_;
   cycle_t busy_until_ = 0;
   std::int64_t served_ = 0;
 };

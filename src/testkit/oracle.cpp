@@ -306,37 +306,6 @@ void check_feasibility(const xbar::collected_traces& traces,
   }
 }
 
-void check_observer_equivalence(const workloads::app_spec& app,
-                                const xbar::flow_options& opts,
-                                const xbar::flow_report& report,
-                                const oracle_options& oopts,
-                                std::vector<violation>* out) {
-  if (!oopts.observer_equivalence) return;
-  // total_buses is filled by every validation run (even ones that moved
-  // no packets); zero means the report was never validated — nothing to
-  // compare against.
-  if (report.designed.total_buses == 0) return;
-  check_scope scope("oracle.observer-equivalence");
-  xbar::validation_job job;
-  job.request =
-      report.request_design.to_config(opts.policy, opts.transfer_overhead);
-  job.response =
-      report.response_design.to_config(opts.policy, opts.transfer_overhead);
-  job.opts = opts;
-  const auto batched = xbar::validate_configurations(app, {job});
-  if (batched.size() != 1 || !(batched.front() == report.designed)) {
-    std::ostringstream msg;
-    msg << "batch driver re-validation diverges from the session-validated "
-           "designed metrics (batch avg "
-        << (batched.empty() ? 0.0 : batched.front().avg_latency)
-        << " packets "
-        << (batched.empty() ? 0 : batched.front().packets) << ", report avg "
-        << report.designed.avg_latency << " packets "
-        << report.designed.packets << ")";
-    add(out, "observer-equivalence", msg.str());
-  }
-}
-
 void check_solver_agreement(const xbar::collected_traces& traces,
                             const xbar::flow_options& opts,
                             const xbar::flow_report& report,
@@ -411,7 +380,6 @@ std::vector<violation> check_flow_invariants(
   check_latency(report, oopts, &out);
   check_metrics(report, &out);
   check_feasibility(traces, opts, report, &out);
-  check_observer_equivalence(app, opts, report, oopts, &out);
   check_solver_agreement(traces, opts, report, oopts, &out);
   return out;
 }

@@ -43,12 +43,6 @@ struct oracle_options {
   /// INCONCLUSIVE and skipped (a limitation of the CPLEX stand-in, not a
   /// methodology violation). The node cap, unlike a wall-clock budget,
   /// keeps fuzz verdicts machine-independent.
-  /// Re-validate the designed configuration through the lockstep batch
-  /// driver (sim::batch observer harvesting) and require metrics equal
-  /// to the report's session-validated `designed` section — the same
-  /// differential discipline the retired kernel-equivalence invariant
-  /// applied to the polling kernel. Costs one extra phase-4 simulation.
-  bool observer_equivalence = true;
   bool solver_agreement = true;
   int solver_agreement_max_targets = 10;
   /// Skip the cross-check when windows * targets exceeds this: LP size,
@@ -107,18 +101,6 @@ void check_solver_agreement(const xbar::collected_traces& traces,
                             const xbar::flow_report& report,
                             const oracle_options& oopts,
                             std::vector<violation>* out);
-
-/// "observer-equivalence": re-validating the designed configuration
-/// through the lockstep sim::batch driver (SoA observer harvesting)
-/// reproduces the report's `designed` metrics exactly, every double
-/// included. Skipped when the report was never validated. This is the
-/// successor of the retired "kernel-equivalence" invariant, guarding the
-/// batch driver the way that one guarded the event-driven kernel.
-void check_observer_equivalence(const workloads::app_spec& app,
-                                const xbar::flow_options& opts,
-                                const xbar::flow_report& report,
-                                const oracle_options& oopts,
-                                std::vector<violation>* out);
 
 // (The "kernel-equivalence" invariant — bit-identity of the event-driven
 // and legacy polling kernels — soaked one release and retired with the

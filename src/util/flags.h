@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,5 +67,29 @@ class flag_set {
 int report_unknown_flags(const flag_set& flags,
                          const std::vector<std::string>& known,
                          const std::string& prog);
+
+/// The entry point a flagged program shares: parses the command line and
+/// runs `body(flags)`, returning its exit code. Bad usage exits 2 with
+/// the known-flag list — an unknown flag before the body starts, a
+/// malformed value (flag_error) wherever the body reads it — so a typo'd
+/// flag neither falls back to a default nor escapes main and aborts.
+template <typename Body>
+int run_flagged_main(int argc, char** argv, const std::string& prog,
+                     const std::vector<std::string>& known, Body&& body) {
+  const flag_set flags(argc, argv);
+  const auto usage = [&] {
+    std::fprintf(stderr, "%s: known flags:", prog.c_str());
+    for (const auto& k : known) std::fprintf(stderr, " --%s", k.c_str());
+    std::fprintf(stderr, "\n");
+    return 2;
+  };
+  if (report_unknown_flags(flags, known, prog) > 0) return usage();
+  try {
+    return body(flags);
+  } catch (const flag_error& e) {
+    std::fprintf(stderr, "%s: %s\n", prog.c_str(), e.what());
+    return usage();
+  }
+}
 
 }  // namespace stx

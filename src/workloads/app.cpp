@@ -94,16 +94,4 @@ sim::session make_full_crossbar_session(const app_spec& app,
   return make_session(app, req, resp, base);
 }
 
-sim::system_config make_system_config(const app_spec& app,
-                                      const sim::crossbar_config& req,
-                                      const sim::crossbar_config& resp,
-                                      const sim::system_config& base) {
-  return assemble_config(app, req, resp, base);
-}
-
-sim::batch make_batch(const app_spec& app) {
-  app.validate();
-  return sim::batch(app.programs, app.num_targets, app.loop_starts);
-}
-
 }  // namespace stx::workloads

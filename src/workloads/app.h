@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/batch.h"
 #include "sim/core.h"
 #include "sim/session.h"
 #include "sim/system.h"
@@ -65,20 +64,5 @@ sim::session make_session(const app_spec& app,
 /// Full crossbars on both directions, as a session.
 sim::session make_full_crossbar_session(const app_spec& app,
                                         const sim::system_config& base = {});
-
-/// The system_config a session over `app` would run under — the exact
-/// assembly make_session performs (validate, then `base` with the two
-/// crossbar configs swapped in). Exposed so batch consumers instantiate
-/// instances from the same config a session would use.
-sim::system_config make_system_config(const app_spec& app,
-                                      const sim::crossbar_config& req,
-                                      const sim::crossbar_config& resp,
-                                      const sim::system_config& base = {});
-
-/// An empty lockstep batch over `app`'s shape (programs shared across
-/// every instance, unlike sessions which copy them per run). Add one
-/// instance per (crossbar configs, seed) point via
-/// `batch.add_instance(make_system_config(app, req, resp, base))`.
-sim::batch make_batch(const app_spec& app);
 
 }  // namespace stx::workloads

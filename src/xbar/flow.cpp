@@ -85,30 +85,6 @@ validation_metrics validate_configuration(const workloads::app_spec& app,
   return to_validation(session.metrics());
 }
 
-std::vector<validation_metrics> validate_configurations(
-    const workloads::app_spec& app, const std::vector<validation_job>& jobs) {
-  std::vector<validation_metrics> out;
-  if (jobs.empty()) return out;
-  obs::span sp("flow.validate_batch",
-               {{"app", app.name},
-                {"instances", static_cast<std::int64_t>(jobs.size())}});
-  auto batch = workloads::make_batch(app);
-  const auto horizon = jobs.front().opts.horizon;
-  for (const auto& job : jobs) {
-    STX_REQUIRE(job.opts.horizon == horizon,
-                "batched validation jobs must share one horizon");
-    batch.add_instance(workloads::make_system_config(
-        app, job.request, job.response,
-        base_system_config(job.opts, /*record_traces=*/false)));
-  }
-  batch.run(horizon);
-  out.reserve(jobs.size());
-  for (int b = 0; b < batch.size(); ++b) {
-    out.push_back(to_validation(batch.metrics(b)));
-  }
-  return out;
-}
-
 validation_metrics validate_full_crossbars(const workloads::app_spec& app,
                                            const flow_options& opts) {
   auto full_req = sim::crossbar_config::full(app.num_targets);

@@ -96,24 +96,6 @@ validation_metrics validate_configuration(const workloads::app_spec& app,
                                           const sim::crossbar_config& resp,
                                           const flow_options& opts);
 
-/// One phase-4 validation request of a batched call: an explicit crossbar
-/// pair plus the flow options it runs under (policies/seeds may differ
-/// per job; the horizon must be shared — instances advance in lockstep).
-struct validation_job {
-  sim::crossbar_config request;
-  sim::crossbar_config response;
-  flow_options opts;
-};
-
-/// Phase 4 for many configurations of the same `app` in one lockstep
-/// sim::batch: entry i is bit-identical to
-/// `validate_configuration(app, jobs[i].request, jobs[i].response,
-/// jobs[i].opts)`, but the whole set runs as one structure-of-arrays
-/// simulation harvesting observers instead of N sessions. This is the
-/// fast path explore::run_sweep packs validation cohorts into.
-std::vector<validation_metrics> validate_configurations(
-    const workloads::app_spec& app, const std::vector<validation_job>& jobs);
-
 /// The synthesis parameters design_from_traces actually uses for one
 /// direction: opts.synth.params with the per-direction window override
 /// applied. The single source of the override rule — verification

@@ -339,47 +339,51 @@ TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
 
 // A re-run of a store-backed validating sweep must serve every phase-4
 // designed-configuration result from the stage=metrics store entries —
-// no batched re-simulation at all, pinned on the sim.* obs counters —
-// and produce bit-identical results.
+// no re-simulation at all, pinned on the sim.* obs counters — and
+// produce bit-identical results, at every thread count.
 TEST(PersistentCache, SweepRerunServesDesignedMetricsFromStore) {
-  const auto dir = test_dir("sweep-metrics");
-  sweep_spec spec;
-  spec.apps = {small_app()};
-  spec.grid.window_sizes = {200, 400, 1000};
-  spec.horizon = 8'000;
-  spec.validate = true;
-  spec.batch_size = 2;  // one full cohort + one straggler: both paths
+  for (const int threads : {1, 4}) {
+    const auto dir = test_dir("sweep-metrics-" + std::to_string(threads));
+    sweep_spec spec;
+    spec.apps = {small_app()};
+    spec.grid.window_sizes = {200, 400, 1000};
+    spec.horizon = 8'000;
+    spec.validate = true;
+    spec.threads = threads;
+    const auto points = static_cast<std::int64_t>(spec.grid.num_points());
 
-  obs::reset();
-  obs::enable();
-  sweep_report cold;
-  {
-    trace_cache cache(std::make_shared<disk_store>(dir.string()));
-    cold = run_sweep(spec, cache);
-  }
-  EXPECT_EQ(cold.designed_store_hits, 0);
-  EXPECT_EQ(cold.phase1_simulations, 1);
-  const auto before = obs::snapshot();
-  ASSERT_GT(before.counter("sim.runs"), 0);
+    obs::reset();
+    obs::enable();
+    sweep_report cold;
+    {
+      trace_cache cache(std::make_shared<disk_store>(dir.string()));
+      cold = run_sweep(spec, cache);
+    }
+    EXPECT_EQ(cold.designed_store_hits, 0);
+    EXPECT_EQ(cold.phase1_simulations, 1);
+    // One phase-1 run plus one validation per point.
+    EXPECT_EQ(obs::snapshot().counter("sim.runs"), 1 + points);
 
-  sweep_report warm;
-  {
-    trace_cache cache(std::make_shared<disk_store>(dir.string()));
-    warm = run_sweep(spec, cache);
+    obs::reset();
+    obs::enable();
+    sweep_report warm;
+    {
+      trace_cache cache(std::make_shared<disk_store>(dir.string()));
+      warm = run_sweep(spec, cache);
+    }
+    // Every point's designed metrics came off disk; nothing simulated.
+    EXPECT_EQ(warm.designed_store_hits, points) << "threads=" << threads;
+    EXPECT_EQ(warm.phase1_simulations, 0);
+    const auto after = obs::snapshot();
+    EXPECT_EQ(after.counter("sim.runs"), 0) << "threads=" << threads;
+    EXPECT_EQ(after.counter("sim.events_processed"), 0);
+    EXPECT_EQ(after.counter("explore.designed.store_hits"), points);
+    // Warm results (designed metrics included) are bit-identical to cold.
+    EXPECT_EQ(warm.results, cold.results);
+    EXPECT_EQ(warm.pareto, cold.pareto);
+    obs::reset();
+    fs::remove_all(dir);
   }
-  // Every point's designed metrics came off disk; nothing simulated.
-  EXPECT_EQ(warm.designed_store_hits, 3);
-  EXPECT_EQ(warm.phase1_simulations, 0);
-  const auto after = obs::snapshot();
-  EXPECT_EQ(after.counter("sim.runs"), before.counter("sim.runs"));
-  EXPECT_EQ(after.counter("sim.events_processed"),
-            before.counter("sim.events_processed"));
-  EXPECT_EQ(after.counter("explore.designed.store_hits"), 3);
-  // Warm results (designed metrics included) are bit-identical to cold.
-  EXPECT_EQ(warm.results, cold.results);
-  EXPECT_EQ(warm.pareto, cold.pareto);
-  obs::reset();
-  fs::remove_all(dir);
 }
 
 // The metrics key carries every synthesis knob: a sweep at different
@@ -391,7 +395,6 @@ TEST(PersistentCache, DesignedMetricsKeyedBySynthesisKnobs) {
   spec.grid.window_sizes = {200, 400};
   spec.horizon = 8'000;
   spec.validate = true;
-  spec.batch_size = 2;
   {
     trace_cache cache(std::make_shared<disk_store>(dir.string()));
     (void)run_sweep(spec, cache);

@@ -10,15 +10,15 @@
 namespace stx::sim {
 namespace {
 
-struct delivery {
+struct stepped_delivery {
   packet p;
   cycle_t begin = 0;
   cycle_t end = 0;
 };
 
 /// Steps the bus through [from, to) collecting deliveries.
-std::vector<delivery> run_bus(bus& b, cycle_t from, cycle_t to) {
-  std::vector<delivery> out;
+std::vector<stepped_delivery> run_bus(bus& b, cycle_t from, cycle_t to) {
+  std::vector<stepped_delivery> out;
   for (cycle_t now = from; now < to; ++now) {
     b.step(now, [&](const packet& p, cycle_t rb, cycle_t re) {
       out.push_back({p, rb, re});
@@ -84,7 +84,7 @@ TEST(Bus, QueueDepthTracksBacklog) {
 TEST(Bus, LatePacketWaitsForArbitration) {
   bus b(0, 2, arbitration::round_robin, 2);
   b.enqueue(0, make_packet(0, 0, 4, 0));
-  std::vector<delivery> dd;
+  std::vector<stepped_delivery> dd;
   for (cycle_t now = 0; now < 20; ++now) {
     if (now == 3) b.enqueue(1, make_packet(1, 0, 2, 3));
     b.step(now, [&](const packet& p, cycle_t rb, cycle_t re) {

@@ -160,32 +160,6 @@ TEST(Oracle, FeasibilityCatchesModelViolatingBinding) {
   EXPECT_TRUE(has_invariant(vs, "feasibility")) << to_string(vs);
 }
 
-TEST(Oracle, ObserverEquivalenceAcceptsTheRealReport) {
-  const auto& f = fixture();
-  std::vector<violation> vs;
-  check_observer_equivalence(f.app, f.opts, f.report, oracle_options{}, &vs);
-  EXPECT_TRUE(vs.empty()) << to_string(vs);
-}
-
-TEST(Oracle, ObserverEquivalenceCatchesTamperedMetrics) {
-  const auto& f = fixture();
-  auto broken = f.report;
-  broken.designed.avg_latency += 0.5;  // any double off by any amount
-  std::vector<violation> vs;
-  check_observer_equivalence(f.app, f.opts, broken, oracle_options{}, &vs);
-  EXPECT_TRUE(has_invariant(vs, "observer-equivalence")) << to_string(vs);
-}
-
-TEST(Oracle, ObserverEquivalenceSkipsUnvalidatedReports) {
-  const auto& f = fixture();
-  auto unvalidated = f.report;
-  unvalidated.designed = {};  // as a synthesis-only flow leaves it
-  std::vector<violation> vs;
-  check_observer_equivalence(f.app, f.opts, unvalidated, oracle_options{},
-                             &vs);
-  EXPECT_TRUE(vs.empty()) << to_string(vs);
-}
-
 TEST(Oracle, SolverAgreementCatchesWrongBusCount) {
   const auto& f = fixture();
   auto broken = f.report;

@@ -31,6 +31,10 @@ const std::string kXbarFuzz = STX_XBAR_FUZZ_BIN;
 const std::string kAblationSolver = STX_ABLATION_SOLVER_BIN;
 const std::string kAblationSim = STX_ABLATION_SIM_BIN;
 const std::string kFig5a = STX_FIG5A_BIN;
+const std::string kQuickstart = STX_QUICKSTART_BIN;
+const std::string kRealtimeStreams = STX_REALTIME_STREAMS_BIN;
+const std::string kMat2DesignFlow = STX_MAT2_DESIGN_FLOW_BIN;
+const std::string kDesignSpaceExploration = STX_DSE_BIN;
 
 TEST(CliFlagValues, XbargenExits2OnMalformedValues) {
   EXPECT_EQ(run(kXbargen + " --app=mat1 --horizon=abc"), 2);
@@ -47,6 +51,8 @@ TEST(CliFlagValues, XbarSweepExits2OnMalformedValues) {
   EXPECT_EQ(run(kXbarSweep + grid + " --horizon=abc"), 2);
   EXPECT_EQ(run(kXbarSweep + grid + " --validate=perhaps"), 2);
   EXPECT_EQ(run(kXbarSweep + grid + " --threads=two"), 2);
+  // The lockstep validation cohort knob is gone: an unknown flag now.
+  EXPECT_EQ(run(kXbarSweep + grid + " --batch=4"), 2);
 }
 
 TEST(CliFlagValues, XbarServeExits2OnMalformedValues) {
@@ -69,6 +75,17 @@ TEST(CliFlagValues, BenchesExit2InsteadOfAborting) {
   EXPECT_EQ(run(kFig5a + " --validate=maybe"), 2);
   // Unknown flags keep their exit code through the shared entry point.
   EXPECT_EQ(run(kAblationSim + " --no-such-flag=1"), 2);
+}
+
+TEST(CliFlagValues, ExampleDriversExit2OnBadFlags) {
+  for (const auto& bin : {kQuickstart, kRealtimeStreams, kMat2DesignFlow,
+                          kDesignSpaceExploration}) {
+    EXPECT_EQ(run(bin + " --horizon=abc"), 2) << bin;
+    EXPECT_EQ(run(bin + " --bogus=1"), 2) << bin;
+  }
+  EXPECT_EQ(run(kQuickstart + " --threshold=high"), 2);
+  EXPECT_EQ(run(kMat2DesignFlow + " --window=4x"), 2);
+  EXPECT_EQ(run(kDesignSpaceExploration + " --app=nosuch"), 2);
 }
 
 }  // namespace
