@@ -28,12 +28,27 @@ void trace::add(const stream_event& e) {
 
 void trace::extend_horizon(cycle_t h) { horizon_ = std::max(horizon_, h); }
 
+namespace {
+
+using interval_list = std::vector<std::pair<cycle_t, cycle_t>>;
+
+/// Appends a span of a list sorted by begin, merging it into the last
+/// interval when they overlap or touch.
+void append_merged(interval_list& merged, cycle_t begin, cycle_t end) {
+  if (!merged.empty() && begin <= merged.back().second) {
+    merged.back().second = std::max(merged.back().second, end);
+  } else {
+    merged.emplace_back(begin, end);
+  }
+}
+
+}  // namespace
+
 std::vector<cycle_t> trace::total_busy_per_target() const {
   std::vector<cycle_t> out(static_cast<std::size_t>(num_targets_), 0);
-  for (int t = 0; t < num_targets_; ++t) {
-    for (const auto& [b, e] : busy_intervals(t)) {
-      out[static_cast<std::size_t>(t)] += e - b;
-    }
+  const auto by_target = busy_intervals_by_target();
+  for (std::size_t t = 0; t < by_target.size(); ++t) {
+    for (const auto& [b, e] : by_target[t].all) out[t] += e - b;
   }
   return out;
 }
@@ -48,22 +63,53 @@ bool trace::target_has_critical(int target) const {
 std::vector<std::pair<cycle_t, cycle_t>> trace::busy_intervals(
     int target, bool critical_only) const {
   STX_REQUIRE(target >= 0 && target < num_targets_, "target out of range");
-  std::vector<std::pair<cycle_t, cycle_t>> spans;
+  interval_list spans;
   for (const auto& e : events_) {
     if (e.target != target) continue;
     if (critical_only && !e.critical) continue;
     spans.emplace_back(e.begin, e.end);
   }
   std::sort(spans.begin(), spans.end());
-  std::vector<std::pair<cycle_t, cycle_t>> merged;
-  for (const auto& s : spans) {
-    if (!merged.empty() && s.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, s.second);
-    } else {
-      merged.push_back(s);
+  interval_list merged;
+  for (const auto& [b, e] : spans) append_merged(merged, b, e);
+  return merged;
+}
+
+std::vector<trace::target_busy> trace::busy_intervals_by_target() const {
+  // Bucket the events by target (a counting sort keeps it one pass plus
+  // a scatter), then sort and merge each target's slice.
+  struct span {
+    cycle_t begin;
+    cycle_t end;
+    bool critical;
+  };
+  const auto n = static_cast<std::size_t>(num_targets_);
+  std::vector<std::size_t> offset(n + 1, 0);
+  for (const auto& e : events_) {
+    ++offset[static_cast<std::size_t>(e.target) + 1];
+  }
+  for (std::size_t t = 0; t < n; ++t) offset[t + 1] += offset[t];
+  std::vector<span> spans(events_.size());
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (const auto& e : events_) {
+    spans[fill[static_cast<std::size_t>(e.target)]++] = {e.begin, e.end,
+                                                         e.critical};
+  }
+
+  std::vector<target_busy> out(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto first = spans.begin() + static_cast<std::ptrdiff_t>(offset[t]);
+    const auto last =
+        spans.begin() + static_cast<std::ptrdiff_t>(offset[t + 1]);
+    std::sort(first, last, [](const span& a, const span& b) {
+      return a.begin != b.begin ? a.begin < b.begin : a.end < b.end;
+    });
+    for (auto it = first; it != last; ++it) {
+      append_merged(out[t].all, it->begin, it->end);
+      if (it->critical) append_merged(out[t].critical, it->begin, it->end);
     }
   }
-  return merged;
+  return out;
 }
 
 void trace::save(std::ostream& out) const {

@@ -60,6 +60,15 @@ class trace {
   std::vector<std::pair<cycle_t, cycle_t>> busy_intervals(
       int target, bool critical_only = false) const;
 
+  /// busy_intervals() of one target, with and without critical_only.
+  struct target_busy {
+    std::vector<std::pair<cycle_t, cycle_t>> all;
+    std::vector<std::pair<cycle_t, cycle_t>> critical;
+  };
+  /// busy_intervals() for every target from one pass over the events:
+  /// element i holds busy_intervals(i) and busy_intervals(i, true).
+  std::vector<target_busy> busy_intervals_by_target() const;
+
   /// Exact equality: dimensions, horizon and the full event sequence —
   /// what "bit-identical traces" means wherever runs are compared
   /// differentially (segmented-run determinism tests; historically the

@@ -39,8 +39,8 @@ window_partition window_partition::burst_adaptive(
   // target (clamped to [min_size, max_size] wall-clock length).
   std::vector<std::vector<std::pair<cycle_t, cycle_t>>> busy;
   busy.reserve(static_cast<std::size_t>(t.num_targets()));
-  for (int i = 0; i < t.num_targets(); ++i) {
-    busy.push_back(t.busy_intervals(i));
+  for (auto& target : t.busy_intervals_by_target()) {
+    busy.push_back(std::move(target.all));
   }
   auto busy_in = [&](cycle_t lo, cycle_t hi) {
     cycle_t acc = 0;
@@ -124,9 +124,10 @@ variable_window_analysis::variable_window_analysis(
   pair_critical_.assign(pairs, 0);
 
   std::vector<std::vector<std::pair<cycle_t, cycle_t>>> busy(n), crit(n);
-  for (int i = 0; i < num_targets_; ++i) {
-    busy[static_cast<std::size_t>(i)] = t.busy_intervals(i);
-    crit[static_cast<std::size_t>(i)] = t.busy_intervals(i, true);
+  auto by_target = t.busy_intervals_by_target();
+  for (std::size_t i = 0; i < n; ++i) {
+    busy[i] = std::move(by_target[i].all);
+    crit[i] = std::move(by_target[i].critical);
   }
 
   for (int i = 0; i < num_targets_; ++i) {

@@ -69,12 +69,11 @@ window_analysis::window_analysis(const trace& t, cycle_t window_size)
 
   // Per-target merged busy intervals (and critical-only intervals).
   std::vector<std::vector<std::pair<cycle_t, cycle_t>>> busy(n), crit(n);
-  for (int i = 0; i < num_targets_; ++i) {
-    busy[static_cast<std::size_t>(i)] = t.busy_intervals(i);
-    crit[static_cast<std::size_t>(i)] =
-        t.busy_intervals(i, /*critical_only=*/true);
-    critical_targets_[static_cast<std::size_t>(i)] =
-        !crit[static_cast<std::size_t>(i)].empty();
+  auto by_target = t.busy_intervals_by_target();
+  for (std::size_t i = 0; i < n; ++i) {
+    busy[i] = std::move(by_target[i].all);
+    crit[i] = std::move(by_target[i].critical);
+    critical_targets_[i] = !crit[i].empty();
   }
 
   // comm[i][m]: split each busy interval across window boundaries.

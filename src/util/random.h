@@ -47,10 +47,17 @@ class rng {
   /// Fisher-Yates shuffle of `v`.
   template <typename T>
   void shuffle(std::vector<T>& v) {
-    for (std::int64_t i = static_cast<std::int64_t>(v.size()) - 1; i > 0; --i) {
+    shuffle(v.data(), v.size());
+  }
+
+  /// Fisher-Yates shuffle of the `n` elements at `data` (the same draws
+  /// as shuffling a vector of those elements).
+  template <typename T>
+  void shuffle(T* data, std::size_t n) {
+    for (std::int64_t i = static_cast<std::int64_t>(n) - 1; i > 0; --i) {
       const auto j = uniform_int(0, i);
       using std::swap;
-      swap(v[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(j)]);
+      swap(data[i], data[j]);
     }
   }
 

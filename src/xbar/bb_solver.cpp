@@ -16,31 +16,39 @@ namespace {
 constexpr cycle_t kNoIncumbent = std::numeric_limits<cycle_t>::max();
 
 /// Shared DFS engine for feasibility / optimisation / random binding.
+/// The search state and the Eq. 4 quick-accept invariant are described
+/// in bb_solver.h; a node allocates nothing.
 class xbar_search {
  public:
   enum class mode { feasibility, optimize, random };
 
   xbar_search(const synthesis_input& input, int num_buses, mode m,
               const solver_options& opts, std::uint64_t seed)
-      : input_(input),
+      : num_targets_(input.num_targets()),
         num_buses_(num_buses),
+        num_windows_(input.num_windows()),
+        words_((input.num_targets() + 63) / 64),
+        max_per_bus_(input.params().max_targets_per_bus),
         mode_(m),
         opts_(opts),
         rng_(seed) {
-    const int T = input.num_targets();
+    const int T = num_targets_;
+    const int W = num_windows_;
+    const auto sT = static_cast<std::size_t>(T);
+    const auto sW = static_cast<std::size_t>(W);
 
     // Hardest-first target order: high peak demand and high conflict
     // degree first (fail-first keeps the tree small). Random mode keeps
     // a shuffled order instead.
-    order_.resize(static_cast<std::size_t>(T));
+    order_.resize(sT);
     std::iota(order_.begin(), order_.end(), 0);
     if (mode_ == mode::random) {
       rng_.shuffle(order_);
     } else {
-      std::vector<double> score(static_cast<std::size_t>(T), 0.0);
+      std::vector<double> score(sT, 0.0);
       for (int i = 0; i < T; ++i) {
         double s = 0.0;
-        for (int m2 = 0; m2 < input.num_windows(); ++m2) {
+        for (int m2 = 0; m2 < W; ++m2) {
           s += static_cast<double>(input.comm(i, m2));
         }
         int deg = 0;
@@ -57,35 +65,62 @@ class xbar_search {
       });
     }
 
-    // Sparse per-target window demands.
-    demand_.resize(static_cast<std::size_t>(T));
-    for (int i = 0; i < T; ++i) {
-      for (int m2 = 0; m2 < input.num_windows(); ++m2) {
-        const cycle_t c = input.comm(i, m2);
-        if (c > 0) {
-          demand_[static_cast<std::size_t>(i)].emplace_back(m2, c);
+    // Model rows by search position.
+    capacity_.resize(sW);
+    min_capacity_ = std::numeric_limits<cycle_t>::max();
+    for (int w = 0; w < W; ++w) {
+      capacity_[static_cast<std::size_t>(w)] = input.capacity(w);
+      min_capacity_ = std::min(min_capacity_, input.capacity(w));
+    }
+    om_.assign(sT * sT, 0);
+    comm_.assign(sT * sW, 0);
+    peak_.assign(sT, 0);
+    conflict_.assign(sT * static_cast<std::size_t>(words_), 0);
+    demand_begin_.assign(sT + 1, 0);
+    for (int p = 0; p < T; ++p) {
+      const int i = order_[static_cast<std::size_t>(p)];
+      const auto sp = static_cast<std::size_t>(p);
+      for (int q = 0; q < T; ++q) {
+        const int j = order_[static_cast<std::size_t>(q)];
+        om_[sp * sT + static_cast<std::size_t>(q)] = input.om(i, j);
+        if (q != p && input.conflict(i, j)) {
+          conflict_[sp * static_cast<std::size_t>(words_) +
+                    static_cast<std::size_t>(q / 64)] |=
+              std::uint64_t{1} << (q % 64);
         }
       }
+      for (int w = 0; w < W; ++w) {
+        const cycle_t c = input.comm(i, w);
+        comm_[sp * sW + static_cast<std::size_t>(w)] = c;
+        peak_[sp] = std::max(peak_[sp], c);
+        if (c > 0) demand_.push_back({w, c});
+      }
+      demand_begin_[sp + 1] = demand_.size();
     }
 
-    load_.assign(static_cast<std::size_t>(num_buses_),
-                 std::vector<cycle_t>(
-                     static_cast<std::size_t>(input.num_windows()), 0));
-    members_.assign(static_cast<std::size_t>(num_buses_), {});
-    bus_overlap_.assign(static_cast<std::size_t>(num_buses_), 0);
-    binding_.assign(static_cast<std::size_t>(T), -1);
+    const auto sB = static_cast<std::size_t>(num_buses_);
+    member_stride_ = max_per_bus_ > 0 ? std::min(max_per_bus_, T) : T;
+    members_.assign(sB * static_cast<std::size_t>(member_stride_), 0);
+    size_.assign(sB, 0);
+    mask_.assign(sB * static_cast<std::size_t>(words_), 0);
+    peak_sum_.assign(sB, 0);
+    overlap_.assign(sB, 0);
+    binding_.assign(sT, -1);
+    cand_.assign(sT * sB, 0);
+    delta_.assign(sT * sB, 0);
     start_ = std::chrono::steady_clock::now();
   }
 
   /// Runs the search; returns true when an answer (sat or proven unsat)
   /// was reached within limits.
   bool run() {
-    found_ = dfs(0, 0);
+    found_ = dfs(0, 0, 0);
     return !limit_hit_;
   }
 
   bool found() const { return found_ || !best_binding_.empty(); }
   const std::vector<int>& best_binding() const { return best_binding_; }
+  /// Eq. 11 objective of best_binding(); tracked in optimize mode only.
   cycle_t best_overlap() const { return best_overlap_; }
   std::int64_t nodes() const { return nodes_; }
   bool complete() const { return !limit_hit_; }
@@ -96,6 +131,11 @@ class xbar_search {
   }
 
  private:
+  struct demand {
+    int window;
+    cycle_t cycles;
+  };
+
   bool out_of_budget() {
     if (nodes_ >= opts_.max_nodes) return true;
     if ((nodes_ & 0x3ff) == 0) {
@@ -110,133 +150,185 @@ class xbar_search {
     return false;
   }
 
-  /// Current maximum per-bus overlap (the running Eq. 11 objective).
-  cycle_t current_max_overlap() const {
-    cycle_t best = 0;
-    for (cycle_t v : bus_overlap_) best = std::max(best, v);
-    return best;
+  const int* members(int k) const {
+    return &members_[static_cast<std::size_t>(k) *
+                     static_cast<std::size_t>(member_stride_)];
   }
 
-  /// Overlap this target would add to bus k (sum of om with members).
-  cycle_t overlap_delta(int target, int k) const {
+  /// Overlap position p would add to bus k (sum of om with members).
+  cycle_t overlap_delta(int p, int k) const {
+    const cycle_t* row = &om_[static_cast<std::size_t>(p) *
+                              static_cast<std::size_t>(num_targets_)];
+    const int* mem = members(k);
     cycle_t acc = 0;
-    for (int m : members_[static_cast<std::size_t>(k)]) {
-      acc += input_.om(target, m);
+    for (int n = 0; n < size_[static_cast<std::size_t>(k)]; ++n) {
+      acc += row[mem[n]];
     }
     return acc;
   }
 
-  bool placement_ok(int target, int k) const {
-    const int maxtb = input_.params().max_targets_per_bus;
-    if (maxtb > 0 &&
-        static_cast<int>(members_[static_cast<std::size_t>(k)].size()) >=
-            maxtb) {
-      return false;
+  /// Eq. 4 for position p joining bus k.
+  bool bandwidth_ok(int p, int k) const {
+    const auto sk = static_cast<std::size_t>(k);
+    if (peak_sum_[sk] + peak_[static_cast<std::size_t>(p)] <= min_capacity_) {
+      return true;
     }
-    for (int m : members_[static_cast<std::size_t>(k)]) {
-      if (input_.conflict(target, m)) return false;
-    }
-    for (const auto& [w, c] : demand_[static_cast<std::size_t>(target)]) {
-      if (load_[static_cast<std::size_t>(k)][static_cast<std::size_t>(w)] +
-              c >
-          input_.capacity(w)) {
-        return false;
+    const int* mem = members(k);
+    const int n = size_[sk];
+    const auto W = static_cast<std::size_t>(num_windows_);
+    for (std::size_t d = demand_begin_[static_cast<std::size_t>(p)];
+         d < demand_begin_[static_cast<std::size_t>(p) + 1]; ++d) {
+      const auto w = static_cast<std::size_t>(demand_[d].window);
+      cycle_t load = demand_[d].cycles;
+      for (int m = 0; m < n; ++m) {
+        load += comm_[static_cast<std::size_t>(mem[m]) * W + w];
       }
+      if (load > capacity_[w]) return false;
     }
     return true;
   }
 
-  void place(int target, int k) {
-    binding_[static_cast<std::size_t>(target)] = k;
-    bus_overlap_[static_cast<std::size_t>(k)] += overlap_delta(target, k);
-    members_[static_cast<std::size_t>(k)].push_back(target);
-    for (const auto& [w, c] : demand_[static_cast<std::size_t>(target)]) {
-      load_[static_cast<std::size_t>(k)][static_cast<std::size_t>(w)] += c;
+  /// Eq. 7, 8 and 4 for position p joining bus k.
+  bool placement_ok(int p, int k) const {
+    if (max_per_bus_ > 0 &&
+        size_[static_cast<std::size_t>(k)] >= max_per_bus_) {
+      return false;
     }
+    const std::uint64_t* bus = &mask_[static_cast<std::size_t>(k) *
+                                      static_cast<std::size_t>(words_)];
+    const std::uint64_t* conf = &conflict_[static_cast<std::size_t>(p) *
+                                           static_cast<std::size_t>(words_)];
+    for (int w = 0; w < words_; ++w) {
+      if ((bus[w] & conf[w]) != 0) return false;
+    }
+    return bandwidth_ok(p, k);
   }
 
-  void unplace(int target, int k) {
-    members_[static_cast<std::size_t>(k)].pop_back();
-    bus_overlap_[static_cast<std::size_t>(k)] -= overlap_delta(target, k);
-    for (const auto& [w, c] : demand_[static_cast<std::size_t>(target)]) {
-      load_[static_cast<std::size_t>(k)][static_cast<std::size_t>(w)] -= c;
-    }
-    binding_[static_cast<std::size_t>(target)] = -1;
+  void place(int p, int k, cycle_t delta) {
+    const auto sk = static_cast<std::size_t>(k);
+    members_[sk * static_cast<std::size_t>(member_stride_) +
+             static_cast<std::size_t>(size_[sk])] = p;
+    ++size_[sk];
+    mask_[sk * static_cast<std::size_t>(words_) +
+          static_cast<std::size_t>(p / 64)] |= std::uint64_t{1} << (p % 64);
+    peak_sum_[sk] += peak_[static_cast<std::size_t>(p)];
+    overlap_[sk] += delta;
+    binding_[static_cast<std::size_t>(order_[static_cast<std::size_t>(p)])] =
+        k;
   }
 
-  /// `used` = number of buses currently holding at least one target.
-  bool dfs(std::size_t depth, int used) {
+  void unplace(int p, int k, cycle_t delta) {
+    const auto sk = static_cast<std::size_t>(k);
+    --size_[sk];
+    mask_[sk * static_cast<std::size_t>(words_) +
+          static_cast<std::size_t>(p / 64)] &= ~(std::uint64_t{1} << (p % 64));
+    peak_sum_[sk] -= peak_[static_cast<std::size_t>(p)];
+    overlap_[sk] -= delta;
+  }
+
+  /// `used` = number of buses currently holding at least one target
+  /// (always buses 0..used-1); `cur_max` = the current maximum per-bus
+  /// overlap (the running Eq. 11 objective, optimize mode only).
+  bool dfs(int depth, int used, cycle_t cur_max) {
     if (out_of_budget()) {
       limit_hit_ = true;
       return false;
     }
     ++nodes_;
 
-    if (depth == order_.size()) {
+    if (depth == num_targets_) {
       if (mode_ == mode::optimize) {
-        const cycle_t obj = current_max_overlap();
-        if (obj < best_overlap_) {
-          best_overlap_ = obj;
+        if (cur_max < best_overlap_) {
+          best_overlap_ = cur_max;
           best_binding_ = binding_;
         }
         return false;  // keep searching for better bindings
       }
       best_binding_ = binding_;
-      best_overlap_ = current_max_overlap();
       return true;  // feasibility / random: first solution wins
     }
 
-    const int target = order_[depth];
     // Symmetry breaking: existing buses plus at most one fresh bus.
     const int reach = std::min(used + 1, num_buses_);
-    std::vector<int> candidates;
-    candidates.reserve(static_cast<std::size_t>(reach));
-    for (int k = 0; k < reach; ++k) candidates.push_back(k);
-
-    if (mode_ == mode::random) {
-      rng_.shuffle(candidates);
-    } else if (mode_ == mode::optimize) {
-      // Cheapest-overlap-first child order finds tight incumbents early.
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [&](int a, int b) {
-                         return overlap_delta(target, a) <
-                                overlap_delta(target, b);
-                       });
+    const std::size_t base =
+        static_cast<std::size_t>(depth) * static_cast<std::size_t>(num_buses_);
+    int* cand = &cand_[base];
+    cycle_t* delta = &delta_[base];
+    if (mode_ == mode::optimize) {
+      // Cheapest-overlap-first child order finds tight incumbents early;
+      // a stable insertion sort on the delta keeps ties in bus order.
+      for (int k = 0; k < reach; ++k) {
+        const cycle_t d = overlap_delta(depth, k);
+        int n = k;
+        for (; n > 0 && delta[n - 1] > d; --n) {
+          cand[n] = cand[n - 1];
+          delta[n] = delta[n - 1];
+        }
+        cand[n] = k;
+        delta[n] = d;
+      }
+    } else {
+      for (int k = 0; k < reach; ++k) {
+        cand[k] = k;
+        delta[k] = 0;
+      }
+      if (mode_ == mode::random) {
+        rng_.shuffle(cand, static_cast<std::size_t>(reach));
+      }
     }
 
-    for (int k : candidates) {
-      if (!placement_ok(target, k)) continue;
+    for (int n = 0; n < reach; ++n) {
+      const int k = cand[n];
+      cycle_t next_max = cur_max;
       if (mode_ == mode::optimize) {
         // Bound: max overlap only grows as targets are added.
-        const cycle_t next =
-            bus_overlap_[static_cast<std::size_t>(k)] +
-            overlap_delta(target, k);
-        if (std::max(current_max_overlap(), next) >= best_overlap_) {
-          continue;
-        }
+        next_max = std::max(cur_max, overlap_[static_cast<std::size_t>(k)] +
+                                         delta[n]);
+        if (next_max >= best_overlap_) continue;
       }
-      place(target, k);
+      if (!placement_ok(depth, k)) continue;
+      place(depth, k, delta[n]);
       const int next_used =
-          used + (members_[static_cast<std::size_t>(k)].size() == 1 ? 1 : 0);
-      if (dfs(depth + 1, next_used)) return true;
-      unplace(target, k);
+          used + (size_[static_cast<std::size_t>(k)] == 1 ? 1 : 0);
+      if (dfs(depth + 1, next_used, next_max)) return true;
+      unplace(depth, k, delta[n]);
       if (limit_hit_) return false;
     }
     return false;
   }
 
-  const synthesis_input& input_;
-  int num_buses_;
+  const int num_targets_;
+  const int num_buses_;
+  const int num_windows_;
+  const int words_;        ///< 64-bit words per position mask
+  const int max_per_bus_;  ///< maxtb; <= 0 means uncapped
   mode mode_;
   solver_options opts_;
   rng rng_;
 
+  // The model, by search position p (order_[p] is its target id).
   std::vector<int> order_;
-  std::vector<std::vector<std::pair<int, cycle_t>>> demand_;
-  std::vector<std::vector<cycle_t>> load_;
-  std::vector<std::vector<int>> members_;
-  std::vector<cycle_t> bus_overlap_;
-  std::vector<int> binding_;
+  std::vector<cycle_t> om_;              ///< T x T
+  std::vector<cycle_t> comm_;            ///< T x W
+  std::vector<std::uint64_t> conflict_;  ///< T x words_
+  std::vector<cycle_t> peak_;            ///< max_m comm[p][m]
+  std::vector<demand> demand_;           ///< non-zero comm, rows of p
+  std::vector<std::size_t> demand_begin_;
+  std::vector<cycle_t> capacity_;
+  cycle_t min_capacity_ = 0;
+
+  // Per-bus state.
+  int member_stride_ = 0;
+  std::vector<int> members_;          ///< B x member_stride_ positions
+  std::vector<int> size_;
+  std::vector<std::uint64_t> mask_;   ///< B x words_ member positions
+  std::vector<cycle_t> peak_sum_;     ///< sum of members' peak_
+  std::vector<cycle_t> overlap_;      ///< summed pairwise om of members
+  std::vector<int> binding_;          ///< target id -> bus
+
+  // Per-depth child order and overlap deltas (T x B).
+  std::vector<int> cand_;
+  std::vector<cycle_t> delta_;
 
   std::vector<int> best_binding_;
   cycle_t best_overlap_ = kNoIncumbent;
@@ -310,6 +402,13 @@ std::optional<std::vector<int>> find_feasible_binding(
     if (stats != nullptr) *stats = {0, true, 0.0};
     return std::nullopt;  // proven infeasible without search
   }
+  return search_feasible_binding(input, num_buses, opts, stats);
+}
+
+std::optional<std::vector<int>> search_feasible_binding(
+    const synthesis_input& input, int num_buses, const solver_options& opts,
+    solve_stats* stats) {
+  STX_REQUIRE(num_buses >= 1, "need at least one bus");
   xbar_search search(input, num_buses, xbar_search::mode::feasibility, opts,
                      /*seed=*/1);
   const bool answered = search.run();
@@ -330,6 +429,13 @@ std::optional<binding_solution> find_min_overlap_binding(
     if (stats != nullptr) *stats = {0, true, 0.0};
     return std::nullopt;
   }
+  return search_min_overlap_binding(input, num_buses, opts, stats);
+}
+
+std::optional<binding_solution> search_min_overlap_binding(
+    const synthesis_input& input, int num_buses, const solver_options& opts,
+    solve_stats* stats) {
+  STX_REQUIRE(num_buses >= 1, "need at least one bus");
   xbar_search search(input, num_buses, xbar_search::mode::optimize, opts,
                      /*seed=*/1);
   search.run();

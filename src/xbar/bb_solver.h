@@ -6,6 +6,24 @@
 // conflict / cardinality propagation and bus-symmetry breaking. Exact —
 // property tests cross-check it against the generic MILP path — but
 // orders of magnitude faster, which is what the benches use.
+//
+// Search state. One depth-first engine serves all three entry points
+// (feasibility, Eq. 11 optimisation, random binding). Everything it
+// reads is a flat array indexed by a target's position in the search
+// order: the overlap row, the per-window demands, the per-window peak,
+// and a word-array mask of conflicting positions. Each bus keeps its
+// member positions, a member mask, its member count, its summed
+// pairwise overlap and the sum of its members' per-window peaks. Each
+// depth keeps its child order and overlap deltas in preallocated
+// buffers, ordered by a stable insertion sort in optimize mode. A node
+// allocates nothing; placing and removing a target are O(1).
+//
+// Quick-accept invariant (Eq. 4). A bus's load in any window is at most
+// the sum of its members' per-window peaks. So if that sum plus the new
+// target's peak is at most the smallest window capacity, every window
+// fits and the check passes without reading a window. Otherwise the
+// target's non-zero windows are re-checked exactly against the summed
+// demands of the bus's members.
 #pragma once
 
 #include <atomic>
@@ -67,6 +85,19 @@ struct binding_solution {
   bool proven_optimal = true;
 };
 std::optional<binding_solution> find_min_overlap_binding(
+    const synthesis_input& input, int num_buses,
+    const solver_options& opts = {}, solve_stats* stats = nullptr);
+
+/// The two searches above without their lower_bound_buses() pre-check,
+/// for callers that already know `num_buses >= lower_bound_buses(input)`:
+/// min_feasible_buses() starts its binary search at that bound, so its
+/// probes and synthesize()'s final binding solve skip recomputing it.
+/// For such bus counts the results, stats and errors are the same as the
+/// checked versions'.
+std::optional<std::vector<int>> search_feasible_binding(
+    const synthesis_input& input, int num_buses,
+    const solver_options& opts = {}, solve_stats* stats = nullptr);
+std::optional<binding_solution> search_min_overlap_binding(
     const synthesis_input& input, int num_buses,
     const solver_options& opts = {}, solve_stats* stats = nullptr);
 

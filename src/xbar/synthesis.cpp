@@ -81,7 +81,7 @@ bool portfolio_probe(const synthesis_input& input, int num_buses,
     so.portfolio = false;
     so.cancel = &cancel_spec;
     try {
-      const auto res = find_feasible_binding(input, num_buses, so, nullptr);
+      const auto res = search_feasible_binding(input, num_buses, so, nullptr);
       publish(from_spec, res.has_value() ? sat : unsat);
     } catch (...) {
       publish(from_spec, no_answer);  // limits or cancellation
@@ -145,7 +145,7 @@ bool probe_feasible(const synthesis_input& input, int num_buses,
   if (opts.solver == solver_kind::specialized) {
     solve_stats stats;
     const auto res =
-        find_feasible_binding(input, num_buses, opts.limits, &stats);
+        search_feasible_binding(input, num_buses, opts.limits, &stats);
     if (nodes_acc != nullptr) *nodes_acc += stats.nodes;
     return res.has_value();
   }
@@ -201,7 +201,7 @@ crossbar_design synthesize(const synthesis_input& input,
   if (opts.solver == solver_kind::specialized) {
     if (opts.optimize_binding) {
       solve_stats stats;
-      const auto sol = find_min_overlap_binding(input, out.num_buses,
+      const auto sol = search_min_overlap_binding(input, out.num_buses,
                                                 opts.limits, &stats);
       STX_ENSURE(sol.has_value(),
                  "binding infeasible at the proven-feasible bus count");
@@ -212,7 +212,7 @@ crossbar_design synthesize(const synthesis_input& input,
     } else {
       solve_stats stats;
       const auto sol =
-          find_feasible_binding(input, out.num_buses, opts.limits, &stats);
+          search_feasible_binding(input, out.num_buses, opts.limits, &stats);
       STX_ENSURE(sol.has_value(),
                  "binding infeasible at the proven-feasible bus count");
       out.binding = *sol;

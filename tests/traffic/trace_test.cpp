@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/random.h"
 
 namespace stx::traffic {
 namespace {
@@ -66,6 +67,31 @@ TEST(Trace, BusyIntervalsCriticalOnly) {
   EXPECT_EQ(all.size(), 2u);
   ASSERT_EQ(crit.size(), 1u);
   EXPECT_EQ(crit[0].first, 20);
+}
+
+TEST(Trace, BusyIntervalsByTargetMatchesPerTargetScans) {
+  // Random overlapping, adjacent, duplicate and critical events, added
+  // out of order: the one-pass grouping must agree with busy_intervals
+  // for every target, with and without critical_only.
+  rng r(42);
+  trace t(5, 3, 0);
+  for (int k = 0; k < 400; ++k) {
+    const cycle_t begin = r.uniform_int(0, 2000);
+    t.add({static_cast<int>(r.uniform_int(0, 3)),
+           static_cast<int>(r.uniform_int(0, 2)), begin,
+           begin + r.uniform_int(1, 40), r.chance(0.2)});
+  }
+  const auto by_target = t.busy_intervals_by_target();
+  ASSERT_EQ(by_target.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(by_target[static_cast<std::size_t>(i)].all,
+              t.busy_intervals(i))
+        << i;
+    EXPECT_EQ(by_target[static_cast<std::size_t>(i)].critical,
+              t.busy_intervals(i, /*critical_only=*/true))
+        << i;
+  }
+  EXPECT_TRUE(by_target[4].all.empty());  // a target with no events
 }
 
 TEST(Trace, TotalBusyPerTarget) {

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/error.h"
+#include "util/random.h"
+#include "workloads/mpsoc_apps.h"
+#include "xbar/flow.h"
+#include "xbar/synthesis.h"
 
 namespace stx::xbar {
 namespace {
@@ -150,6 +155,190 @@ TEST(BbSolver, StatsReportNodes) {
   ASSERT_TRUE(b.has_value());
   EXPECT_GT(stats.nodes, 0);
   EXPECT_TRUE(stats.complete);
+}
+
+TEST(BbSolver, ExactBandwidthFallbackAcceptsWhenEveryWindowFits) {
+  // Peaks sum to 180 > WS = 100, so the quick accept cannot pass this
+  // bus, but the window loads are 90/70/90: the window-by-window check
+  // must accept one bus.
+  const auto in = make_input({{60, 10, 0}, {0, 60, 30}, {30, 0, 60}}, {},
+                             {}, basic_params());
+  const auto b = search_feasible_binding(in, 1);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_TRUE(in.binding_feasible(*b, 1));
+  const auto sol = find_min_overlap_binding(in, 1);
+  ASSERT_TRUE(sol.has_value());
+  EXPECT_EQ(sol->binding, std::vector<int>({0, 0, 0}));
+}
+
+TEST(BbSolver, ExactBandwidthFallbackRejectsOneOverflowingWindow) {
+  // Windows 1 and 2 fit (70, 90) but window 0 holds 101 > 100. Search
+  // without the lower-bound pre-check so the DFS itself must reject.
+  const auto in = make_input({{60, 10, 0}, {0, 60, 30}, {41, 0, 60}}, {},
+                             {}, basic_params());
+  solve_stats stats;
+  EXPECT_FALSE(search_feasible_binding(in, 1, {}, &stats).has_value());
+  EXPECT_TRUE(stats.complete);
+  EXPECT_GT(stats.nodes, 0);
+  EXPECT_FALSE(search_min_overlap_binding(in, 1).has_value());
+  const auto b = find_feasible_binding(in, 2);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_TRUE(in.binding_feasible(*b, 2));
+}
+
+TEST(BbSolver, ConflictMasksSpanSeveralWords) {
+  // 70 targets need two 64-bit mask words. Masks are indexed by search
+  // position (hardest first), so the demands are shaped to fix it:
+  // targets 65-69 are busy in one window only and sort last, into the
+  // second word; the other 65 are busy one cycle in each of 120 windows.
+  // 65-66 and 67-68 conflict inside the second word; 10-69 conflicts
+  // across the words (10 sorts first).
+  const int T = 70;
+  const int W = 120;
+  std::vector<std::vector<cycle_t>> comm(
+      T, std::vector<cycle_t>(static_cast<std::size_t>(W), 1));
+  for (int i = 65; i < T; ++i) {
+    comm[static_cast<std::size_t>(i)].assign(static_cast<std::size_t>(W), 0);
+    comm[static_cast<std::size_t>(i)][0] = 1;
+  }
+  const auto in = make_input(comm, {}, {{65, 66}, {67, 68}, {10, 69}},
+                             basic_params(100, 0));
+
+  // First-fit would put everything on bus 0 if a mask word were skipped.
+  solve_stats stats;
+  EXPECT_FALSE(search_feasible_binding(in, 1, {}, &stats).has_value());
+  EXPECT_TRUE(stats.complete);
+  const auto b = find_feasible_binding(in, 2);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_TRUE(in.binding_feasible(*b, 2));
+  EXPECT_NE((*b)[65], (*b)[66]);
+  EXPECT_NE((*b)[67], (*b)[68]);
+  EXPECT_NE((*b)[10], (*b)[69]);
+  const auto sol = find_min_overlap_binding(in, 2);
+  ASSERT_TRUE(sol.has_value());
+  EXPECT_TRUE(in.binding_feasible(sol->binding, 2));
+  // Three buses exceed every conflict degree: random placement never
+  // dead-ends.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto r = find_random_feasible_binding(in, 3, seed);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(in.binding_feasible(*r, 3));
+  }
+}
+
+/// The request-direction model of mat1 at a short horizon: a real
+/// application model whose searches are pinned node for node below.
+synthesis_input mat1_model() {
+  flow_options opts;
+  opts.horizon = 10'000;
+  opts.synth.params.window_size = 400;
+  const auto traces =
+      collect_traces(*workloads::make_app_by_name("mat1"), opts);
+  return input_from_trace(traces.request,
+                          effective_synthesis_params(opts, true));
+}
+
+TEST(BbSolver, AppModelSearchesArePinned) {
+  // Values captured from the solver before its search state was
+  // flattened: the same tree must be walked in the same order, with the
+  // same random draws.
+  const auto in = mat1_model();
+  ASSERT_EQ(in.num_targets(), 13);
+  ASSERT_EQ(lower_bound_buses(in), 4);
+
+  solve_stats feas;
+  const auto b = find_feasible_binding(in, 4, {}, &feas);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(feas.nodes, 14);
+  EXPECT_EQ(*b, std::vector<int>({0, 1, 1, 1, 1, 2, 0, 2, 2, 2, 3, 0, 0}));
+
+  solve_stats opt;
+  const auto sol = find_min_overlap_binding(in, 4, {}, &opt);
+  ASSERT_TRUE(sol.has_value());
+  EXPECT_EQ(opt.nodes, 1720);
+  EXPECT_EQ(sol->max_overlap, 41);
+  EXPECT_EQ(sol->binding,
+            std::vector<int>({2, 0, 1, 2, 2, 2, 1, 1, 3, 3, 1, 3, 0}));
+  solve_stats opt5;
+  ASSERT_TRUE(find_min_overlap_binding(in, 5, {}, &opt5).has_value());
+  EXPECT_EQ(opt5.nodes, 908);
+
+  const std::vector<std::vector<int>> random = {
+      {3, 1, 2, 3, 1, 2, 1, 2, 0, 1, 0, 2, 3},
+      {1, 1, 3, 0, 3, 2, 0, 0, 3, 2, 0, 1, 3},
+      {2, 2, 1, 1, 0, 2, 0, 0, 3, 3, 3, 2, 0}};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto r = find_random_feasible_binding(in, 4, seed);
+    ASSERT_TRUE(r.has_value()) << seed;
+    EXPECT_EQ(*r, random[seed - 1]) << seed;
+  }
+
+  synthesis_options so;
+  so.params = in.params();
+  const auto design = synthesize(in, so);
+  EXPECT_EQ(design.num_buses, 4);
+  EXPECT_EQ(design.probes, 4);
+  EXPECT_EQ(design.feasibility_nodes, 56);
+  EXPECT_EQ(design.binding_nodes, 1720);
+}
+
+/// Eq. 11 optimum by enumerating every binding; nullopt when none is
+/// feasible.
+std::optional<cycle_t> brute_force_optimum(const synthesis_input& in,
+                                           int buses) {
+  const int T = in.num_targets();
+  std::vector<int> binding(static_cast<std::size_t>(T), 0);
+  std::optional<cycle_t> best;
+  while (true) {
+    if (in.binding_feasible(binding, buses)) {
+      const cycle_t v = in.max_bus_overlap(binding, buses);
+      if (!best || v < *best) best = v;
+    }
+    int i = 0;
+    while (i < T && ++binding[static_cast<std::size_t>(i)] == buses) {
+      binding[static_cast<std::size_t>(i)] = 0;
+      ++i;
+    }
+    if (i == T) return best;
+  }
+}
+
+TEST(BbSolver, OptimumMatchesBruteForceOnRandomSmallModels) {
+  int feasible = 0;
+  for (int s = 0; s < 150; ++s) {
+    rng r(0xB0B0ull + static_cast<std::uint64_t>(s));
+    const int T = static_cast<int>(r.uniform_int(2, 8));
+    const int W = static_cast<int>(r.uniform_int(1, 4));
+    const int buses = static_cast<int>(r.uniform_int(1, 3));
+    std::vector<std::vector<cycle_t>> comm(
+        static_cast<std::size_t>(T),
+        std::vector<cycle_t>(static_cast<std::size_t>(W), 0));
+    for (auto& row : comm) {
+      for (auto& c : row) c = r.chance(0.3) ? 0 : r.uniform_int(0, 60);
+    }
+    std::vector<std::vector<cycle_t>> om(
+        static_cast<std::size_t>(T),
+        std::vector<cycle_t>(static_cast<std::size_t>(T), 0));
+    std::vector<std::pair<int, int>> conflicts;
+    for (int i = 0; i < T; ++i) {
+      for (int j = i + 1; j < T; ++j) {
+        const cycle_t v = r.uniform_int(0, 50);
+        om[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = v;
+        om[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = v;
+        if (r.chance(0.1)) conflicts.emplace_back(i, j);
+      }
+    }
+    const int maxtb = static_cast<int>(r.uniform_int(0, 4));
+    const auto in = make_input(comm, om, conflicts, basic_params(100, maxtb));
+    const auto expected = brute_force_optimum(in, buses);
+    const auto sol = find_min_overlap_binding(in, buses);
+    ASSERT_EQ(sol.has_value(), expected.has_value()) << "model " << s;
+    if (!sol) continue;
+    ++feasible;
+    EXPECT_TRUE(sol->proven_optimal) << "model " << s;
+    EXPECT_EQ(sol->max_overlap, *expected) << "model " << s;
+  }
+  EXPECT_GT(feasible, 30);  // the sample exercises the optimiser
 }
 
 TEST(BbSolver, RejectsNonPositiveBusCount) {
