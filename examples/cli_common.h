@@ -12,13 +12,12 @@
 
 namespace stx::cli {
 
-/// Parses the solver knobs (--solver-node-limit, --solver-time-ms,
-/// --solver-threads, --solver-cuts, --solver-portfolio) into `limits`.
-/// Throws invalid_argument_error on a malformed or out-of-range value
-/// (node limit < 1, negative time, threads < 1) — each driver catches,
-/// prints its usage and exits 2: a typo'd budget must never silently run
-/// with the default. One definition serves all the CLIs so the
-/// validation contract cannot drift between them.
+/// Parses the solver budget flags (--solver-node-limit, --solver-time-ms)
+/// into `limits`. Throws invalid_argument_error on a malformed or
+/// out-of-range value (node limit < 1, negative time) — each driver
+/// catches, prints its usage and exits 2: a typo'd budget must never
+/// silently run with the default. One definition serves all the CLIs so
+/// the validation contract cannot drift between them.
 inline void apply_solver_budget_flags(const flag_set& flags,
                                       xbar::solver_options* limits) {
   const std::int64_t nodes =
@@ -32,16 +31,8 @@ inline void apply_solver_budget_flags(const flag_set& flags,
   if (time_ms < 0) {
     throw invalid_argument_error("--solver-time-ms must be >= 0");
   }
-  const std::int64_t threads =
-      flags.get_int("solver-threads", limits->threads);
-  if (threads < 1) {
-    throw invalid_argument_error("--solver-threads must be >= 1");
-  }
   limits->max_nodes = nodes;
   limits->time_limit_sec = static_cast<double>(time_ms) / 1000.0;
-  limits->threads = static_cast<int>(threads);
-  limits->cuts = flags.get_bool("solver-cuts", limits->cuts);
-  limits->portfolio = flags.get_bool("solver-portfolio", limits->portfolio);
 }
 
 /// Parses --cache-max-bytes (the disk_store eviction cap; 0 = unlimited)

@@ -40,8 +40,8 @@ void print_usage(std::FILE* to) {
       "(mat1|mat2|mat2-critical|fft|qsort|des|synthetic)\n"
       "  --grid KEY=V1,...   one sweep axis; repeatable; at least one "
       "required\n"
-      "                      keys: win thr maxtb burstwin policy solver "
-      "reqwin respwin\n"
+      "                      keys: win thr maxtb burstwin policy reqwin "
+      "respwin\n"
       "  --threads=N         worker threads (default: hardware "
       "concurrency)\n"
       "  --horizon=N         simulation cycles (120000)\n"
@@ -50,11 +50,6 @@ void print_usage(std::FILE* to) {
       "(> 0; default 20000000)\n"
       "  --solver-time-ms=N  solver wall-clock budget per solve in "
       "milliseconds (>= 0, 0 = unlimited; default 60000)\n"
-      "  --solver-threads=N  branch & bound worker threads per solve (1;\n"
-      "                      results are bit-identical at every count)\n"
-      "  --solver-cuts=BOOL  root cover/clique cut layer (true)\n"
-      "  --solver-portfolio=BOOL  race the specialized solver against\n"
-      "                      the MILP on feasibility probes (false)\n"
       "  --validate=BOOL     per-point validation simulation (true)\n"
       "  --cache-dir=DIR     persistent phase-1 and validation result\n"
       "                      store shared with xbargen / xbar-fuzz /\n"
@@ -72,7 +67,6 @@ void print_usage(std::FILE* to) {
 const std::vector<std::string> kKnownFlags = {
     "app",      "grid",     "threads",  "horizon",      "seed",
     "solver-node-limit",    "solver-time-ms",
-    "solver-threads", "solver-cuts", "solver-portfolio",
     "validate", "out-dir",  "basename", "compare-serial", "help",
     "cache-dir", "cache-max-bytes", "trace-out", "metrics-out",
 };

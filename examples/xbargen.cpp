@@ -54,16 +54,10 @@ void print_usage(std::FILE* to) {
       "  --maxtb=N           max targets per bus, 0=off (4)\n"
       "  --conflicts=BOOL    overlap-conflict pre-processing (true)\n"
       "  --critical=BOOL     separate critical streams (true)\n"
-      "  --solver=KIND       specialized|milp (specialized)\n"
       "  --solver-node-limit=N  branch & bound node budget per solve "
       "(> 0; default 20000000)\n"
       "  --solver-time-ms=N  solver wall-clock budget per solve in "
       "milliseconds (>= 0, 0 = unlimited; default 60000)\n"
-      "  --solver-threads=N  branch & bound worker threads (1; results\n"
-      "                      are bit-identical at every thread count)\n"
-      "  --solver-cuts=BOOL  root cover/clique cut layer (true)\n"
-      "  --solver-portfolio=BOOL  race the specialized solver against\n"
-      "                      the MILP on feasibility probes (false)\n"
       "  --horizon=N         simulation cycles (120000)\n"
       "  --cache-dir=DIR     persistent result store: a design already\n"
       "                      computed under DIR (by any CLI or the\n"
@@ -73,8 +67,8 @@ void print_usage(std::FILE* to) {
       "                      this cap at open (0 = unlimited)\n"
       "  --grid KEY=V1,...   sweep an axis instead of one design point "
       "(repeatable;\n"
-      "                      keys: win thr maxtb burstwin policy solver "
-      "reqwin respwin);\n"
+      "                      keys: win thr maxtb burstwin policy reqwin "
+      "respwin);\n"
       "                      unswept axes take their values from the "
       "flags above\n"
       "  --threads=N         sweep worker threads (hardware "
@@ -88,8 +82,7 @@ void print_usage(std::FILE* to) {
 const std::vector<std::string> kKnownFlags = {
     "app",      "trace",    "save-traces", "emit",     "out-dir",
     "window",   "threshold", "maxtb",      "conflicts", "critical",
-    "solver",   "solver-node-limit", "solver-time-ms",
-    "solver-threads", "solver-cuts", "solver-portfolio",
+    "solver-node-limit", "solver-time-ms",
     "horizon",  "grid",     "threads",    "help",
     "cache-dir", "cache-max-bytes", "trace-out", "metrics-out",
 };
@@ -153,9 +146,6 @@ xbar::synthesis_options synth_options(const flag_set& flags) {
       static_cast<int>(flags.get_int("maxtb", 4));
   so.params.use_overlap_conflicts = flags.get_bool("conflicts", true);
   so.params.separate_critical = flags.get_bool("critical", true);
-  if (flags.get_string("solver", "specialized") == "milp") {
-    so.solver = xbar::solver_kind::generic_milp;
-  }
   pick_solver_limits(flags, &so.limits);
   return so;
 }
@@ -200,7 +190,6 @@ int run_grid_sweep(const flag_set& flags) {
   if (g.max_targets_per_bus.empty()) {
     g.max_targets_per_bus = {base.params.max_targets_per_bus};
   }
-  if (g.solvers.empty()) g.solvers = {base.solver};
 
   spec.apps = {pick_app(flags.get_string("app", "mat2"))};
   spec.horizon = flags.get_int("horizon", 120'000);

@@ -139,12 +139,9 @@ cache_key report_key(const std::string& app_id, const xbar::flow_options& opts,
   k.separate_critical = p.separate_critical;
   k.request_window = opts.request_window_override;
   k.response_window = opts.response_window_override;
-  k.solver = static_cast<int>(opts.synth.solver);
   k.optimize_binding = opts.synth.optimize_binding;
   k.max_nodes = opts.synth.limits.max_nodes;
   k.time_limit_sec = opts.synth.limits.time_limit_sec;
-  k.cuts = opts.synth.limits.cuts;
-  k.portfolio = opts.synth.limits.portfolio;
   k.validated = validated;
   return k;
 }
@@ -180,12 +177,9 @@ std::string encode(const cache_key& key) {
     field("critical", key.separate_critical ? "1" : "0");
     field("reqwin", std::to_string(key.request_window));
     field("respwin", std::to_string(key.response_window));
-    field("solver", std::to_string(key.solver));
     field("bindopt", key.optimize_binding ? "1" : "0");
     field("nodes", std::to_string(key.max_nodes));
     field("timelimit", fmt_double(key.time_limit_sec));
-    field("cuts", key.cuts ? "1" : "0");
-    field("portfolio", key.portfolio ? "1" : "0");
     field("validated", key.validated ? "1" : "0");
   }
   return out;
@@ -259,18 +253,12 @@ cache_key decode(const std::string& line) {
       k.request_window = parse_int(value, name);
     } else if (name == "respwin") {
       k.response_window = parse_int(value, name);
-    } else if (name == "solver") {
-      k.solver = static_cast<int>(parse_int(value, name));
     } else if (name == "bindopt") {
       k.optimize_binding = parse_bool(value, name);
     } else if (name == "nodes") {
       k.max_nodes = parse_int(value, name);
     } else if (name == "timelimit") {
       k.time_limit_sec = parse_double(value, name);
-    } else if (name == "cuts") {
-      k.cuts = parse_bool(value, name);
-    } else if (name == "portfolio") {
-      k.portfolio = parse_bool(value, name);
     } else if (name == "validated") {
       k.validated = parse_bool(value, name);
     } else {
@@ -278,6 +266,10 @@ cache_key decode(const std::string& line) {
     }
   }
   STX_REQUIRE(k.version != 0, "stxkey: missing v field");
+  STX_REQUIRE(k.version == kCacheSchemaVersion,
+              "stxkey: schema v" + std::to_string(k.version) +
+                  " is not the current v" +
+                  std::to_string(kCacheSchemaVersion));
   STX_REQUIRE(have_stage, "stxkey: missing stage field");
   STX_REQUIRE(have_app, "stxkey: missing app field");
   return k;

@@ -12,7 +12,7 @@
 // version covering the code's result format.
 //
 // Wire form: one line, space-separated `k=v` fields in fixed order,
-//   stxkey/v1 v=2 stage=report app=mat2 horizon=120000 seed=1 ...
+//   stxkey/v1 v=3 stage=report app=mat2 horizon=120000 seed=1 ...
 // Values are percent-escaped so application identities may be arbitrary
 // strings (e.g. a full `stxfuzz/v1 ...` scenario token — the
 // content-addressed identity of a generated application).
@@ -30,7 +30,7 @@ namespace stx::explore {
 /// invalidates previously stored results (new flow_report fields, solver
 /// behaviour changes, trace format changes). Old entries then simply
 /// miss: the store is content-addressed, never migrated.
-inline constexpr int kCacheSchemaVersion = 2;
+inline constexpr int kCacheSchemaVersion = 3;
 
 /// Which stage result the key names.
 enum class cache_stage {
@@ -71,15 +71,9 @@ struct cache_key {
   bool separate_critical = false;
   traffic::cycle_t request_window = 0;
   traffic::cycle_t response_window = 0;
-  int solver = 0;  ///< static_cast<int>(xbar::solver_kind)
   bool optimize_binding = false;
   std::int64_t max_nodes = 0;
   double time_limit_sec = 0.0;
-  /// Solver cut separation and portfolio racing DO enter the key (a
-  /// starved budget interacts with both); worker thread count does NOT —
-  /// solver results are bit-identical across thread counts by contract.
-  bool cuts = false;
-  bool portfolio = false;
   /// Whether phase 4 ran (a validated and a synthesis-only report are
   /// different artifacts).
   bool validated = false;
@@ -106,7 +100,8 @@ cache_key metrics_key(const std::string& app_id,
 std::string encode(const cache_key& key);
 
 /// Parses an encode() string. Unknown magic, unknown or duplicate
-/// fields, malformed values, or a missing required field throw
+/// fields, malformed values, a missing required field, or a schema
+/// version other than kCacheSchemaVersion throw
 /// stx::invalid_argument_error.
 cache_key decode(const std::string& line);
 

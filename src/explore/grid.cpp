@@ -33,13 +33,6 @@ sim::arbitration parse_policy(const std::string& v) {
                                "' (fixed|rr|lrg)");
 }
 
-xbar::solver_kind parse_solver(const std::string& v) {
-  if (v == "specialized") return xbar::solver_kind::specialized;
-  if (v == "milp") return xbar::solver_kind::generic_milp;
-  throw invalid_argument_error("unknown solver '" + v +
-                               "' (specialized|milp)");
-}
-
 cycle_t parse_cycles(const std::string& key, const std::string& v,
                      cycle_t min_value = 0) {
   char* end = nullptr;
@@ -79,7 +72,6 @@ std::string sweep_point::to_string() const {
   out << " thr=" << thr << " maxtb=" << max_targets_per_bus;
   if (burst_window > 0) out << " burstwin=" << burst_window;
   out << " policy=" << policy_short_name(policy);
-  if (solver != xbar::solver_kind::specialized) out << " solver=milp";
   if (request_window > 0) out << " reqwin=" << request_window;
   if (response_window > 0) out << " respwin=" << response_window;
   return out.str();
@@ -88,7 +80,7 @@ std::string sweep_point::to_string() const {
 bool sweep_grid::empty() const {
   return window_sizes.empty() && overlap_thresholds.empty() &&
          max_targets_per_bus.empty() && burst_windows.empty() &&
-         policies.empty() && solvers.empty() && request_windows.empty() &&
+         policies.empty() && request_windows.empty() &&
          response_windows.empty();
 }
 
@@ -96,8 +88,8 @@ std::size_t sweep_grid::num_points() const {
   const auto axis = [](std::size_t n) { return n == 0 ? 1 : n; };
   return axis(window_sizes.size()) * axis(overlap_thresholds.size()) *
          axis(max_targets_per_bus.size()) * axis(burst_windows.size()) *
-         axis(policies.size()) * axis(solvers.size()) *
-         axis(request_windows.size()) * axis(response_windows.size());
+         axis(policies.size()) * axis(request_windows.size()) *
+         axis(response_windows.size());
 }
 
 std::vector<sweep_point> expand_grid(const sweep_grid& grid) {
@@ -109,22 +101,18 @@ std::vector<sweep_point> expand_grid(const sweep_grid& grid) {
       each(grid.max_targets_per_bus, def.max_targets_per_bus, [&](int maxtb) {
         each(grid.burst_windows, def.burst_window, [&](cycle_t bw) {
           each(grid.policies, def.policy, [&](sim::arbitration pol) {
-            each(grid.solvers, def.solver, [&](xbar::solver_kind sol) {
-              each(grid.request_windows, def.request_window,
-                   [&](cycle_t req) {
-                each(grid.response_windows, def.response_window,
-                     [&](cycle_t resp) {
-                  sweep_point p;
-                  p.window_size = win;
-                  p.overlap_threshold = thr;
-                  p.max_targets_per_bus = maxtb;
-                  p.burst_window = bw;
-                  p.policy = pol;
-                  p.solver = sol;
-                  p.request_window = req;
-                  p.response_window = resp;
-                  out.push_back(p);
-                });
+            each(grid.request_windows, def.request_window, [&](cycle_t req) {
+              each(grid.response_windows, def.response_window,
+                   [&](cycle_t resp) {
+                sweep_point p;
+                p.window_size = win;
+                p.overlap_threshold = thr;
+                p.max_targets_per_bus = maxtb;
+                p.burst_window = bw;
+                p.policy = pol;
+                p.request_window = req;
+                p.response_window = resp;
+                out.push_back(p);
               });
             });
           });
@@ -151,8 +139,8 @@ std::vector<sweep_point> expand_grid(const sweep_grid& grid) {
 
 const std::vector<std::string>& grid_keys() {
   static const std::vector<std::string> keys = {
-      "win",    "thr",    "maxtb",  "burstwin",
-      "policy", "solver", "reqwin", "respwin",
+      "win",    "thr",    "maxtb",   "burstwin",
+      "policy", "reqwin", "respwin",
   };
   return keys;
 }
@@ -183,8 +171,6 @@ void parse_grid_axis(const std::string& spec, sweep_grid& grid) {
       grid.burst_windows.push_back(parse_cycles(key, v));
     } else if (key == "policy") {
       grid.policies.push_back(parse_policy(v));
-    } else if (key == "solver") {
-      grid.solvers.push_back(parse_solver(v));
     } else if (key == "reqwin") {
       grid.request_windows.push_back(parse_cycles(key, v));
     } else if (key == "respwin") {

@@ -10,7 +10,6 @@
 
 #include "sim/arbiter.h"
 #include "traffic/trace.h"
-#include "xbar/synthesis.h"
 
 namespace stx::explore {
 
@@ -27,7 +26,6 @@ struct sweep_point {
   cycle_t burst_window = 0;           ///< busy cycles per burst-adaptive
                                       ///< variable window; 0 = uniform
   sim::arbitration policy = sim::arbitration::round_robin;
-  xbar::solver_kind solver = xbar::solver_kind::specialized;
   cycle_t request_window = 0;         ///< per-direction WS override; 0 = WS
   cycle_t response_window = 0;        ///< per-direction WS override; 0 = WS
 
@@ -45,7 +43,6 @@ struct sweep_grid {
   std::vector<int> max_targets_per_bus;
   std::vector<cycle_t> burst_windows;
   std::vector<sim::arbitration> policies;
-  std::vector<xbar::solver_kind> solvers;
   std::vector<cycle_t> request_windows;
   std::vector<cycle_t> response_windows;
 
@@ -66,7 +63,7 @@ struct sweep_grid {
 std::vector<sweep_point> expand_grid(const sweep_grid& grid);
 
 /// The axis keys understood by parse_grid_axis, in expansion order:
-/// win, thr, maxtb, burstwin, policy, solver, reqwin, respwin.
+/// win, thr, maxtb, burstwin, policy, reqwin, respwin.
 const std::vector<std::string>& grid_keys();
 
 /// Parses one CLI axis spec "key=v1,v2,..." into `grid` (appending to the

@@ -18,10 +18,6 @@ namespace stx::explore {
 
 namespace {
 
-const char* solver_name(xbar::solver_kind s) {
-  return s == xbar::solver_kind::specialized ? "specialized" : "milp";
-}
-
 double latency_vs_full(const xbar::flow_report& r) {
   if (r.full.avg_latency <= 0.0) return 0.0;
   return r.designed.avg_latency / r.full.avg_latency;
@@ -98,7 +94,6 @@ std::string render_json(const sweep_report& report) {
              {"max_targets_per_bus", p.max_targets_per_bus},
              {"burst_window", static_cast<std::int64_t>(p.burst_window)},
              {"policy", sim::to_string(p.policy)},
-             {"solver", solver_name(p.solver)},
              {"request_window", static_cast<std::int64_t>(p.request_window)},
              {"response_window",
               static_cast<std::int64_t>(p.response_window)},
@@ -153,9 +148,9 @@ namespace {
 table result_table(const sweep_report& report) {
   const auto mask = pareto_mask(report);
   table t({"app", "window", "threshold", "maxtb", "burstwin", "policy",
-           "solver", "reqwin", "respwin", "req_buses", "resp_buses",
-           "total_buses", "full_buses", "savings", "avg_latency",
-           "p99_latency", "max_latency", "pareto"});
+           "reqwin", "respwin", "req_buses", "resp_buses", "total_buses",
+           "full_buses", "savings", "avg_latency", "p99_latency",
+           "max_latency", "pareto"});
   for (std::size_t i = 0; i < report.results.size(); ++i) {
     const auto& r = report.results[i];
     const auto& p = r.point;
@@ -165,7 +160,6 @@ table result_table(const sweep_report& report) {
         .cell(p.max_targets_per_bus)
         .cell(static_cast<std::int64_t>(p.burst_window))
         .cell(sim::to_string(p.policy))
-        .cell(solver_name(p.solver))
         .cell(static_cast<std::int64_t>(p.request_window))
         .cell(static_cast<std::int64_t>(p.response_window))
         .cell(r.report.request_design.num_buses)

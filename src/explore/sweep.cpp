@@ -36,7 +36,6 @@ xbar::flow_options options_for(const sweep_spec& spec,
   opts.synth.params.overlap_threshold = point.overlap_threshold;
   opts.synth.params.max_targets_per_bus = point.max_targets_per_bus;
   opts.synth.params.burst_window = point.burst_window;
-  opts.synth.solver = point.solver;
   opts.request_window_override = point.request_window;
   opts.response_window_override = point.response_window;
   return opts;

@@ -78,67 +78,6 @@ class revised_solver::impl {
     return finish(status);
   }
 
-  void add_row(const std::vector<term>& terms, relation rel, double rhs) {
-    for (const auto& t : terms) {
-      STX_REQUIRE(t.var >= 0 && t.var < n_struct_,
-                  "add_row: term names an unknown structural variable");
-    }
-    // Equilibrate exactly like build() so a freshly constructed solver on
-    // the extended model sees the same scaled numbers.
-    double scale = std::abs(rhs);
-    for (const auto& t : terms) scale = std::max(scale, std::abs(t.value));
-    if (scale < 1.0) scale = 1.0;
-
-    const int r = rows_;
-    const int slack = art_begin_;  // the new slack slides in at the old
-                                   // artificial block's start
-    cols_.insert(cols_.begin() + slack,
-                 std::vector<std::pair<int, double>>{{r, 1.0}});
-    double slo = 0.0, shi = inf;
-    switch (rel) {
-      case relation::less_equal: slo = 0.0; shi = inf; break;
-      case relation::equal: slo = 0.0; shi = 0.0; break;
-      case relation::greater_equal: slo = -inf; shi = 0.0; break;
-    }
-    lower_.insert(lower_.begin() + slack, slo);
-    upper_.insert(upper_.begin() + slack, shi);
-    cost_.insert(cost_.begin() + slack, 0.0);
-    value_.insert(value_.begin() + slack, slo == -inf ? 0.0 : slo);
-    for (const auto& t : terms) {
-      cols_[static_cast<std::size_t>(t.var)].push_back({r, t.value / scale});
-    }
-    rhs_.push_back(rhs / scale);
-    // The new artificial goes at the very end of the (shifted) block.
-    cols_.push_back({{r, 1.0}});
-    lower_.push_back(0.0);
-    upper_.push_back(0.0);
-    cost_.push_back(0.0);
-    value_.push_back(0.0);
-    // Remap the basis: every artificial index moved one right, the new
-    // row's slack is its basic variable, and inserting the slack's status
-    // at its own index keeps every other status aligned.
-    for (auto& b : basis_.basic) {
-      if (b >= slack) ++b;
-    }
-    basis_.status.insert(basis_.status.begin() + slack, var_status::basic);
-    basis_.status.push_back(var_status::at_lower);
-    basis_.basic.push_back(slack);
-
-    rows_ += 1;
-    art_begin_ += 1;
-    total_ += 2;
-    binv_.assign(static_cast<std::size_t>(rows_) *
-                     static_cast<std::size_t>(rows_),
-                 0.0);
-    w_.assign(static_cast<std::size_t>(rows_), 0.0);
-    y_.assign(static_cast<std::size_t>(rows_), 0.0);
-    d_.assign(static_cast<std::size_t>(total_), 0.0);
-    if (opts_.max_iterations <= 0) {
-      max_iterations_ = 40 * (rows_ + total_) + 1000;
-    }
-    // The factorization is stale; the next solve path refactorizes.
-  }
-
   bool last_solve_fell_back() const { return fell_back_; }
 
   const basis_state& last_basis() const { return basis_; }
@@ -826,11 +765,6 @@ revised_solver::~revised_solver() { delete impl_; }
 
 void revised_solver::set_bounds(int var, double lower, double upper) {
   impl_->set_bounds(var, lower, upper);
-}
-
-void revised_solver::add_row(const std::vector<term>& terms, relation rel,
-                             double rhs) {
-  impl_->add_row(terms, rel, rhs);
 }
 
 solve_result revised_solver::solve() { return impl_->solve(); }

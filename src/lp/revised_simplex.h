@@ -1,16 +1,17 @@
 // Revised bounded-variable simplex with an explicit, warm-startable basis.
 //
-// The legacy engine (lp/simplex.h) maintains the full dense tableau
-// B^-1 [A | I] and can only cold-solve; this engine maintains B^-1 alone
-// (product-form eta updates with periodic refactorization), exposes the
-// basis as a first-class snapshot (lp/basis.h), and supports DUAL simplex
+// The tableau reference engine (tests/lp/simplex.h) maintains the full
+// dense tableau B^-1 [A | I] and can only cold-solve; this engine
+// maintains B^-1 alone (product-form eta updates with periodic
+// refactorization), exposes the basis as a first-class snapshot
+// (lp/basis.h), and supports DUAL simplex
 // re-solves from a foreign basis after bound changes. That combination is
 // what turns the MILP branch & bound from one full two-phase solve per
 // node into a handful of dual pivots per node: a child node inherits its
 // parent's optimal basis — still dual feasible, because branching only
 // moves bounds — and the dual method repairs primal feasibility.
 //
-// Termination and conditioning use the same defences as the legacy
+// Termination and conditioning use the same defences as the tableau
 // engine: Bland's rule engages under prolonged degeneracy, basic values
 // are refreshed from a fresh factorization every `refactor_interval`
 // pivots, and any singular or drifted factorization falls back to a cold
@@ -22,7 +23,7 @@
 
 #include "lp/basis.h"
 #include "lp/model.h"
-#include "lp/simplex.h"
+#include "lp/solve.h"
 
 namespace stx::lp {
 
@@ -41,19 +42,6 @@ class revised_solver {
   /// Replaces the bounds of structural variable `var` for subsequent
   /// solves. Does not touch the underlying model.
   void set_bounds(int var, double lower, double upper);
-
-  /// Appends one constraint row to the working system WITHOUT rebuilding
-  /// the solver. The row is equilibrated exactly as at construction, its
-  /// slack becomes the new row's basic variable, and artificial column
-  /// indices shift one slot right inside the stored basis; the next
-  /// solve/solve_from refactorizes against the extended system (a warm
-  /// dual re-solve from last_basis() repairs the feasibility the row
-  /// broke — the cut-separation loop in milp/branch_bound runs on this).
-  /// Column geometry after N add_row calls is identical to a solver
-  /// freshly built from the model with the same rows appended in the same
-  /// order, so basis snapshots are interchangeable between the two.
-  /// Does not touch the underlying model.
-  void add_row(const std::vector<term>& terms, relation rel, double rhs);
 
   /// Cold solve: artificial crash basis, two-phase primal simplex.
   solve_result solve();
@@ -90,8 +78,7 @@ class revised_solver {
   impl* impl_;
 };
 
-/// One-shot convenience mirroring solve_simplex: cold-solves `m` with the
-/// revised engine.
+/// One-shot convenience: cold-solves `m` with the revised engine.
 solve_result solve_revised(const model& m, const solve_options& opts = {});
 
 }  // namespace stx::lp

@@ -1,16 +1,8 @@
-// Bounded-variable two-phase primal simplex (legacy cold-solve engine).
-//
-// This is the tableau-based reference path: every solve is from scratch.
-// The warm-startable revised-simplex engine (lp/revised_simplex.h) is
-// the production path everywhere — branch & bound included; this engine
-// survives only as the LP-level differential reference (tests/lp
-// cross-checks the two on random models).
+// Result and option types shared by the LP engines: the revised simplex
+// (lp/revised_simplex.h) and the tableau reference the tests keep.
 #pragma once
 
-#include <string>
 #include <vector>
-
-#include "lp/model.h"
 
 namespace stx::lp {
 
@@ -21,8 +13,6 @@ enum class solve_status {
   unbounded,        ///< objective unbounded below on the feasible set
   iteration_limit,  ///< gave up; solution vector is not meaningful
 };
-
-const char* to_string(solve_status s);
 
 /// Solver knobs. Defaults are tuned for the small/medium 0-1 models the
 /// crossbar formulation produces.
@@ -51,14 +41,5 @@ struct solve_result {
   int iterations = 0;
   int phase1_iterations = 0;
 };
-
-/// Solves `m` with the bounded-variable two-phase tableau simplex method.
-///
-/// Upper/lower variable bounds are handled implicitly (nonbasic variables
-/// rest at either bound), so models with thousands of 0-1 variables do not
-/// pay for explicit bound rows. Equality rows are handled through phase-1
-/// artificials; Bland's rule engages automatically under prolonged
-/// degeneracy so the method always terminates.
-solve_result solve_simplex(const model& m, const solve_options& opts = {});
 
 }  // namespace stx::lp

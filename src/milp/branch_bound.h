@@ -1,6 +1,9 @@
 // Branch & bound MILP solver over the revised-simplex LP relaxation.
 //
-// One engine, deterministically parallel:
+// The reference engine for the paper's MILPs (Eq. 3-9 feasibility and
+// Eq. 11 binding, built by xbar/milp_formulation.h): src/testkit's
+// oracle and the tests solve them here to cross-check the specialised
+// search that the product runs. One serial best-first loop:
 //
 //  * Nodes are explored best-bound-first with a deterministic
 //    newest-first (DFS plunge) tie-break; each child inherits its
@@ -9,29 +12,14 @@
 //    solve. Branching is most-fractional weighted by pseudocosts
 //    initialised from the objective.
 //
-//  * Parallelism is bulk-synchronous waves: the coordinator pops a wave
-//    of the globally best open nodes (wave size depends only on the heap,
-//    never on the thread count), workers claim wave slots dynamically
-//    (work stealing) and run pure LP solves on per-worker
-//    lp::revised_solver instances, and a sequential merge in slot order
-//    performs every state mutation — pseudocost updates, pruning,
-//    incumbent publication, child creation. Because each LP solve is a
-//    pure function of (bounds, warm basis) and the merge order is fixed,
-//    `bb_result` is bit-identical across thread counts (the contract the
-//    sweep engine pins; the only caveat is a wall-clock
-//    limit actually firing, which truncates the search at a
-//    timing-dependent wave).
+//  * Presolve (with the declared bus-symmetry groups rewritten into
+//    lexicographic ordering rows) shrinks the model first, and a
+//    round-to-nearest heuristic seeds the incumbent.
 //
-//  * A root cut layer exploits the Eq. 3-9 packing structure: cover cuts
-//    from knapsack rows and clique cuts from the 2-variable conflict
-//    graph are separated at the root in deterministic rounds, appended to
-//    the working LP through lp::revised_solver::add_row + warm dual
-//    re-solves, and kept in a pool that every per-worker solver is
-//    rebuilt against. Cuts are valid inequalities for every integer
-//    point, so incumbents always satisfy them (the engine asserts it).
+// `bb_result` is a deterministic function of (model, options), unless a
+// wall-clock limit actually fires.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -52,10 +40,9 @@ const char* to_string(milp_status s);
 
 /// Search knobs.
 struct bb_options {
-  /// Stop after exploring this many branch & bound nodes (checked at
-  /// wave boundaries, so a wave in flight may overshoot by its size).
+  /// Stop after exploring this many branch & bound nodes.
   std::int64_t max_nodes = 2'000'000;
-  /// Wall-clock budget in seconds (checked between waves); <= 0 = none.
+  /// Wall-clock budget in seconds (checked between nodes); <= 0 = none.
   double time_limit_sec = 120.0;
   /// Stop at the first integer-feasible point (paper's MILP1 usage:
   /// "obj: Feasibility Analysis").
@@ -68,33 +55,10 @@ struct bb_options {
   bool use_presolve = true;
   /// Try a round-to-nearest heuristic at each node to seed the incumbent.
   bool rounding_heuristic = true;
-  /// Worker threads exploring the tree (clamped to [1, 64]). The result
-  /// is bit-identical across values; only wall time changes.
-  int threads = 1;
-  /// Separate cover/clique cuts at the root (see header comment). Off
-  /// reproduces the pure PR-5 search tree.
-  bool cuts = true;
-  /// Cooperative cancellation hook (portfolio racing): when non-null and
-  /// it reads true at a wave boundary, the search stops as if the time
-  /// limit fired. The caller keeps ownership. Cancellable solves are
-  /// excluded from the deterministic obs counter section — a cancelled
-  /// search is truncated at a timing-dependent point.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
-/// One pooled root cut: sum(terms) <= rhs over the variable space the
-/// engine solved (the presolve-reduced space when use_presolve is on).
-/// Valid for every integer-feasible point of that space.
-struct bb_cut {
-  std::vector<lp::term> terms;
-  double rhs = 0.0;
 };
 
 /// Solve outcome. `x` is in the ORIGINAL variable space (presolve fixings
 /// are expanded back) and `objective` is evaluated on the original model.
-/// Every field is deterministic for a given (model, options) — including
-/// across `threads` values; timing-dependent telemetry (steal counts,
-/// portfolio win attribution) goes to the obs wall section instead.
 struct bb_result {
   milp_status status = milp_status::limit;
   double objective = 0.0;
@@ -102,8 +66,8 @@ struct bb_result {
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
   double best_bound = 0.0;  ///< global lower bound on the optimum
-  /// How many LP solves (root + cut rounds + nodes) re-solved from a
-  /// warm basis vs from scratch (internal fallbacks count as cold).
+  /// How many node LP solves re-solved from a warm basis vs from scratch
+  /// (the root and internal fallbacks count as cold).
   std::int64_t warm_solves = 0;
   std::int64_t cold_solves = 0;
   /// Pseudocost estimator refinements, the open-heap high-water mark,
@@ -113,18 +77,11 @@ struct bb_result {
   std::int64_t max_heap_depth = 0;
   std::int64_t dual_pivots = 0;
   std::int64_t refactorizations = 0;
-  /// Root cut layer: how many cover/clique cuts entered the pool, the
-  /// pool itself (empty when opts.cuts is off), and how many
-  /// bulk-synchronous waves the search ran.
-  std::int64_t cuts_added = 0;
-  std::vector<bb_cut> cuts;
-  std::int64_t waves = 0;
 };
 
 /// Solves `m` exactly. The engine is exact for the 0/1 models used
 /// throughout this repository; the specialised solver in src/xbar is
-/// cross-checked against this path (tests/xbar), and thread-count
-/// bit-identity is pinned by tests/milp/parallel_bb_test.
+/// cross-checked against this path (tests/xbar, src/testkit/oracle).
 bb_result solve_branch_bound(const model& m, const bb_options& opts = {});
 
 }  // namespace stx::milp

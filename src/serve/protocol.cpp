@@ -43,14 +43,6 @@ sim::arbitration parse_policy(const std::string& s) {
   throw invalid_argument_error("unknown policy '" + s + "'");
 }
 
-xbar::solver_kind parse_solver(const std::string& s) {
-  if (s == "specialized") return xbar::solver_kind::specialized;
-  if (s == "milp" || s == "generic_milp") {
-    return xbar::solver_kind::generic_milp;
-  }
-  throw invalid_argument_error("unknown solver '" + s + "'");
-}
-
 /// The design-request option fields, applied over whatever defaults the
 /// application identity established (flow defaults for built-in apps,
 /// the scenario's own options for stxfuzz requests).
@@ -89,9 +81,6 @@ void apply_option_fields(const json::value& doc, design_request& req) {
   if (doc.contains("response_window")) {
     opts.response_window_override = doc.at("response_window").as_int();
   }
-  if (doc.contains("solver")) {
-    opts.synth.solver = parse_solver(doc.at("solver").as_string());
-  }
   if (doc.contains("optimize_binding")) {
     opts.synth.optimize_binding = doc.at("optimize_binding").as_bool();
   }
@@ -104,17 +93,6 @@ void apply_option_fields(const json::value& doc, design_request& req) {
     const auto ms = doc.at("solver_time_ms").as_int();
     STX_REQUIRE(ms >= 0, "solver_time_ms must be >= 0");
     opts.synth.limits.time_limit_sec = static_cast<double>(ms) / 1000.0;
-  }
-  if (doc.contains("solver_threads")) {
-    const auto threads = doc.at("solver_threads").as_int();
-    STX_REQUIRE(threads >= 1, "solver_threads must be >= 1");
-    opts.synth.limits.threads = static_cast<int>(threads);
-  }
-  if (doc.contains("solver_cuts")) {
-    opts.synth.limits.cuts = doc.at("solver_cuts").as_bool();
-  }
-  if (doc.contains("solver_portfolio")) {
-    opts.synth.limits.portfolio = doc.at("solver_portfolio").as_bool();
   }
   if (doc.contains("validate")) {
     req.validate = doc.at("validate").as_bool();
@@ -141,10 +119,8 @@ const std::set<std::string>& known_fields() {
       "maxtb",        "burst_window",
       "conflicts",    "critical",
       "request_window", "response_window",
-      "solver",       "optimize_binding",
-      "solver_node_limit", "solver_time_ms",
-      "solver_threads", "solver_cuts",
-      "solver_portfolio", "validate",
+      "optimize_binding", "solver_node_limit",
+      "solver_time_ms", "validate",
       "artifacts",     "deadline_ms",
   };
   return fields;

@@ -1,10 +1,13 @@
 #include "testkit/oracle.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "obs/obs.h"
 #include "util/error.h"
+#include "xbar/bb_solver.h"
+#include "xbar/milp_formulation.h"
 #include "xbar/synthesis.h"
 
 namespace stx::testkit {
@@ -322,49 +325,65 @@ void check_solver_agreement(const xbar::collected_traces& traces,
       {"request", &traces.request, &report.request_design, true},
       {"response", &traces.response, &report.response_design, false},
   };
+  milp::bb_options mo;
+  mo.max_nodes = oopts.solver_max_nodes;
+  mo.time_limit_sec = 0.0;  // node cap only: deterministic
   for (const auto& d : dirs) {
     if (d.design->num_targets > oopts.solver_agreement_max_targets) continue;
-    auto milp_opts = opts.synth;
-    milp_opts.params = xbar::effective_synthesis_params(opts, d.request);
-    milp_opts.solver = xbar::solver_kind::generic_milp;
-    milp_opts.limits.max_nodes = oopts.solver_max_nodes;
-    milp_opts.limits.time_limit_sec = 0.0;  // node cap only: deterministic
-    const auto input = xbar::input_from_trace(*d.trace, milp_opts.params);
+    const auto input = xbar::input_from_trace(
+        *d.trace, xbar::effective_synthesis_params(opts, d.request));
     if (static_cast<std::int64_t>(input.num_windows()) *
             input.num_targets() >
         oopts.solver_agreement_max_cells) {
-      continue;  // LP too large for the stand-in solver's budget
+      continue;  // LP too large for the reference solver's budget
     }
-    xbar::crossbar_design milp_design;
+    // Size by scanning up from the lower bound with the Eq. 3-9 MILP (a
+    // full crossbar is always feasible), then bind with the Eq. 11 MILP.
+    int milp_buses = xbar::lower_bound_buses(input);
+    std::optional<xbar::milp_binding_result> milp_binding;
     try {
-      milp_design = xbar::synthesize(input, milp_opts);
+      while (milp_buses <= input.num_targets() &&
+             !xbar::solve_feasibility_milp(input, milp_buses, mo)) {
+        ++milp_buses;
+      }
+      if (milp_buses <= input.num_targets()) {
+        milp_binding = xbar::solve_binding_milp(input, milp_buses, mo);
+      }
     } catch (const internal_error& e) {
-      // The MILP PROVED infeasible/suboptimal where the specialised
-      // solver claimed a proof — a genuine disagreement.
       add(out, "solver-agreement",
-          std::string(d.label) + " direction: generic MILP contradicts the "
-                                 "specialised solver (" +
+          std::string(d.label) + " direction: generic MILP returned a "
+                                 "binding that violates the model (" +
               e.what() + ")");
       continue;
     } catch (const invalid_argument_error&) {
       // Node cap exhausted before an answer: inconclusive, skip.
       continue;
     }
-    if (milp_design.num_buses != d.design->num_buses) {
+    obs::add_counter("oracle.solver-agreement.answered", 1);
+    if (!milp_binding.has_value()) {
+      // The MILP PROVED infeasible where the specialised solver claimed
+      // a solution — a genuine disagreement.
+      add(out, "solver-agreement",
+          std::string(d.label) + " direction: generic MILP finds no "
+                                 "binding at " +
+              std::to_string(std::min(milp_buses, input.num_targets())) +
+              " buses");
+      continue;
+    }
+    if (milp_buses != d.design->num_buses) {
       add(out, "solver-agreement",
           std::string(d.label) + " direction: specialised solver sized " +
               std::to_string(d.design->num_buses) +
-              " buses, generic MILP sized " +
-              std::to_string(milp_design.num_buses));
+              " buses, generic MILP sized " + std::to_string(milp_buses));
       continue;
     }
-    if (d.design->binding_optimal && milp_design.binding_optimal &&
-        milp_design.max_overlap != d.design->max_overlap) {
+    if (d.design->binding_optimal &&
+        milp_binding->max_overlap != d.design->max_overlap) {
       add(out, "solver-agreement",
           std::string(d.label) +
               " direction: optimal Eq. 11 objectives differ (specialised " +
               std::to_string(d.design->max_overlap) + ", MILP " +
-              std::to_string(milp_design.max_overlap) + ")");
+              std::to_string(milp_binding->max_overlap) + ")");
     }
   }
 }

@@ -35,9 +35,13 @@ struct oracle_options {
   /// designed.avg_latency <= full.avg_latency * factor + slack.
   double latency_factor = 8.0;
   double latency_slack_cycles = 50.0;
-  /// Re-solve both directions with the paper-faithful generic MILP and
-  /// require the same bus count (and objective when both are proven
-  /// optimal). Quadratically more expensive than the rest of the oracle,
+  /// Re-solve both directions with the paper-faithful MILPs (Eq. 3-9
+  /// sizing scanned up from the lower bound, then Eq. 11 binding) on the
+  /// generic branch & bound, and require the same bus count (and the same
+  /// objective when the design's binding is proven optimal). Each
+  /// direction the MILPs answer bumps the obs counter
+  /// `oracle.solver-agreement.answered`. Quadratically more expensive
+  /// than the rest of the oracle,
   /// so instances above the size cap skip it, and the MILP search is
   /// node-capped: a cross-check that exhausts `solver_max_nodes` is
   /// INCONCLUSIVE and skipped (a limitation of the CPLEX stand-in, not a
@@ -93,9 +97,11 @@ void check_feasibility(const xbar::collected_traces& traces,
                        const xbar::flow_report& report,
                        std::vector<violation>* out);
 
-/// "solver-agreement": the specialised branch & bound and the generic
-/// MILP path agree on the minimum bus count for both directions (and on
-/// the Eq. 11 objective when both proofs completed).
+/// "solver-agreement": the specialised search the flow ran and the
+/// generic MILP agree on the minimum bus count for both directions (and
+/// on the Eq. 11 objective when the design's binding is proven optimal).
+/// The MILPs are solved directly, not through xbar::synthesize, so the
+/// check stays independent of the product's sizing code.
 void check_solver_agreement(const xbar::collected_traces& traces,
                             const xbar::flow_options& opts,
                             const xbar::flow_report& report,

@@ -153,21 +153,6 @@ scenario sample_scenario(rng& r) {
   return s;
 }
 
-big_fabric_case sample_big_fabric_case(rng& r) {
-  big_fabric_case c;
-  c.params = workloads::sample_big_fabric_params(r);
-  c.opts.seed = r.next_u64();
-  static constexpr traffic::cycle_t kWindows[] = {200, 400, 800, 1600};
-  c.opts.synth.params.window_size = kWindows[r.uniform_int(0, 3)];
-  c.opts.synth.params.overlap_threshold = r.uniform(0.10, 0.50);
-  // A cardinality cap is what makes large fabrics need many buses; keep
-  // it tight relative to the target count so the binding tree is deep.
-  c.opts.synth.params.max_targets_per_bus =
-      static_cast<int>(r.uniform_int(3, 8));
-  c.opts.horizon = r.uniform_int(15'000, 30'000);
-  return c;
-}
-
 namespace {
 
 std::string format_double(double d) {

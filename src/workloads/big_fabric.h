@@ -1,9 +1,8 @@
-// Large synthetic fabrics for solver scaling (bench/ablation_solver and
-// the parallel branch & bound stress tests).
+// Large synthetic fabrics for solver scaling (tests/xbar's big-fabric
+// search pins).
 //
-// The paper's case studies top out at 15 targets; the wave-parallel
-// solver only shows its scaling on models an order of magnitude larger.
-// A big_fabric is a NxM MPSoC with deliberately ASYMMETRIC traffic:
+// The paper's case studies top out at 15 targets; these fabrics give
+// the binding search models an order of magnitude larger. A big_fabric is a NxM MPSoC with deliberately ASYMMETRIC traffic:
 // per-initiator duty cycles spread over ~3x (heavy cores burst long and
 // rest short, light cores the opposite), a seed-shuffled home-target
 // permutation, and a small set of hot shared targets every core hits —
@@ -13,14 +12,11 @@
 
 #include <cstdint>
 
-#include "util/random.h"
 #include "workloads/app.h"
 
 namespace stx::workloads {
 
-/// Geometry and traffic knobs. Every field participates in the app name,
-/// and the whole record is sampleable (sample_big_fabric_params) so the
-/// family is fuzzable end-to-end.
+/// Geometry and traffic knobs. Every field participates in the app name.
 struct big_fabric_params {
   int num_initiators = 32;
   int num_targets = 32;
@@ -53,10 +49,5 @@ app_spec make_big_fabric(const big_fabric_params& params = {});
 /// traffic knobs.
 app_spec make_big_fabric_32();
 app_spec make_big_fabric_64();
-
-/// Samples a valid geometry from `r`: initiator/target counts in
-/// [16, 64], hot-set size, duty spread, burst shape and seed all drawn
-/// from the generator. The fuzz hook for the family.
-big_fabric_params sample_big_fabric_params(rng& r);
 
 }  // namespace stx::workloads

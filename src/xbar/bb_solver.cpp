@@ -138,16 +138,8 @@ class xbar_search {
 
   bool out_of_budget() {
     if (nodes_ >= opts_.max_nodes) return true;
-    if ((nodes_ & 0x3ff) == 0) {
-      if (opts_.cancel != nullptr &&
-          opts_.cancel->load(std::memory_order_relaxed)) {
-        return true;  // portfolio loser: stop as if the time limit fired
-      }
-      if (opts_.time_limit_sec > 0.0 && seconds() > opts_.time_limit_sec) {
-        return true;
-      }
-    }
-    return false;
+    return (nodes_ & 0x3ff) == 0 && opts_.time_limit_sec > 0.0 &&
+           seconds() > opts_.time_limit_sec;
   }
 
   const int* members(int k) const {

@@ -3,9 +3,11 @@
 // Solves the same model as the paper's MILPs (Eq. 3-9 feasibility and the
 // Eq. 11 min-max-overlap binding) with a dedicated branch & bound:
 // targets are assigned to buses hardest-first, with window-bandwidth /
-// conflict / cardinality propagation and bus-symmetry breaking. Exact —
-// property tests cross-check it against the generic MILP path — but
-// orders of magnitude faster, which is what the benches use.
+// conflict / cardinality propagation and bus-symmetry breaking. It is
+// the product's only engine: synthesize() runs nothing else. It is exact
+// — the tests and src/testkit's oracle cross-check it against the MILP
+// formulation (xbar/milp_formulation.h) solved by the generic branch &
+// bound — and orders of magnitude faster than that reference.
 //
 // Search state. One depth-first engine serves all three entry points
 // (feasibility, Eq. 11 optimisation, random binding). Everything it
@@ -26,7 +28,6 @@
 // demands of the bus's members.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -35,31 +36,13 @@
 
 namespace stx::xbar {
 
-/// Search limits, honoured by BOTH engines: the specialised branch &
-/// bound directly, and the generic MILP path via milp::bb_options. The
-/// defaults are far above what the paper-scale instances (|T| <= 32)
-/// need; verification harnesses shrink them to bound a cross-check.
+/// Search limits. The defaults are far above what the paper-scale
+/// instances (|T| <= 32) need; verification harnesses shrink them to
+/// bound a cross-check. A search that runs out of either throws rather
+/// than guess.
 struct solver_options {
   std::int64_t max_nodes = 20'000'000;
   double time_limit_sec = 60.0;
-  /// Generic-MILP path: worker threads for the wave-parallel branch &
-  /// bound (milp::bb_options::threads; results are bit-identical across
-  /// values, only wall time changes).
-  int threads = 1;
-  /// Generic-MILP path: separate cover/clique cuts at the root.
-  bool cuts = true;
-  /// Race the specialised solver against the generic MILP on every
-  /// feasibility probe and take the first DEFINITIVE answer. Both
-  /// engines are exact, so the sat/unsat verdict — and with it the bus
-  /// count — stays deterministic; which engine wins is timing-dependent,
-  /// so probe node telemetry is zeroed under portfolio mode and win
-  /// attribution goes to the obs wall section.
-  bool portfolio = false;
-  /// Cooperative cancellation: when non-null and it reads true, both
-  /// engines stop at their next budget check as if the time limit fired
-  /// (the portfolio uses this to cancel the losing engine). The caller
-  /// keeps ownership.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Search telemetry.

@@ -1,5 +1,11 @@
 // Crossbar synthesis: minimum configuration search + optimal binding
 // (paper Section 6, "Crossbar Design Algorithm").
+//
+// The paper solves the sizing (Eq. 3-9) and binding (Eq. 11) MILPs with
+// CPLEX. Here one engine answers both: the specialised exact search of
+// xbar/bb_solver.h. The MILP formulation (xbar/milp_formulation.h) is
+// kept as the reference model that src/testkit's oracle and the tests
+// solve independently to cross-check every design.
 #pragma once
 
 #include <cstdint>
@@ -13,20 +19,9 @@
 
 namespace stx::xbar {
 
-/// Which exact engine solves the two MILPs.
-enum class solver_kind {
-  /// Specialised branch & bound (default: fast, exact).
-  specialized,
-  /// Paper-faithful MILP through the generic simplex branch & bound
-  /// (CPLEX stand-in). Exact but slower; used for cross-checks and the
-  /// solver ablation bench.
-  generic_milp,
-};
-
 /// Options for a synthesis run.
 struct synthesis_options {
   design_params params;
-  solver_kind solver = solver_kind::specialized;
   solver_options limits;
   /// Skip the Eq. 11 binding optimisation and keep the feasibility
   /// binding (the random/first binding ablation uses this).

@@ -24,12 +24,9 @@ xbar::flow_options rich_options() {
   opts.synth.params.separate_critical = false;
   opts.request_window_override = 200;
   opts.response_window_override = 300;
-  opts.synth.solver = xbar::solver_kind::generic_milp;
   opts.synth.optimize_binding = false;
   opts.synth.limits.max_nodes = 123'456;
   opts.synth.limits.time_limit_sec = 1.5;
-  opts.synth.limits.cuts = false;     // non-default: must round-trip
-  opts.synth.limits.portfolio = true;  // non-default: must round-trip
   return opts;
 }
 
@@ -45,7 +42,7 @@ TEST(CacheKey, EncodeDecodeRoundTripsEveryStage) {
 TEST(CacheKey, WireFormIsTheDocumentedLine) {
   const auto key = trace_key("mat2", xbar::flow_options{});
   const auto line = encode(key);
-  EXPECT_EQ(line.rfind("stxkey/v1 v=2 stage=trace app=mat2 ", 0), 0) << line;
+  EXPECT_EQ(line.rfind("stxkey/v1 v=3 stage=trace app=mat2 ", 0), 0) << line;
   // Phase-1 stages omit the synthesis fields entirely.
   EXPECT_EQ(line.find("win="), std::string::npos);
   EXPECT_NE(encode(report_key("mat2", xbar::flow_options{})).find("win="),
@@ -89,13 +86,13 @@ TEST(CacheKey, DistinctStagesOfOneConfigurationNeverCollide) {
 }
 
 TEST(CacheKey, SchemaVersionSeparatesOldObjects) {
-  // Version 2 moved the full-crossbar reference into the trace object;
-  // a version-1 trace object lives at a different address, so it can
-  // only ever be a miss, never misread as a version-2 blob.
+  // Version 3 dropped the solver-engine fields; a version-2 object lives
+  // at a different address, so it can only ever be a miss, never misread
+  // as a version-3 blob.
   const auto current = trace_key("a", rich_options());
   auto old = current;
-  old.version = 1;
-  EXPECT_EQ(current.version, 2);
+  old.version = 2;
+  EXPECT_EQ(current.version, 3);
   EXPECT_NE(encode(old), encode(current));
   EXPECT_NE(hash_hex(old), hash_hex(current));
 }
@@ -107,11 +104,19 @@ TEST(CacheKey, DecodeRejectsMalformedLines) {
   EXPECT_THROW(decode("not a key at all"), invalid_argument_error);
   EXPECT_THROW(decode(good + " bogus=1"), invalid_argument_error);
   EXPECT_THROW(decode(good + " app=twice"), invalid_argument_error);
-  EXPECT_THROW(decode("stxkey/v1 v=2 stage=trace"),  // missing app
+  EXPECT_THROW(decode("stxkey/v1 v=3 stage=trace"),  // missing app
                invalid_argument_error);
   // The retired full-crossbar reference stage is no longer a stage.
-  EXPECT_THROW(decode("stxkey/v1 v=1 stage=full app=x"),
+  EXPECT_THROW(decode("stxkey/v1 v=3 stage=full app=x"),
                invalid_argument_error);
+  // Older schema versions are errors, not misreads: a v2 phase-1 line,
+  // and v2's solver-engine fields on a current line.
+  EXPECT_THROW(decode("stxkey/v1 v=2 stage=trace app=pin horizon=1000 "
+                      "seed=1 policy=1 overhead=2"),
+               invalid_argument_error);
+  for (const char* retired : {" solver=1", " cuts=1", " portfolio=0"}) {
+    EXPECT_THROW(decode(good + retired), invalid_argument_error) << retired;
+  }
 }
 
 TEST(CacheKey, HashIsStableAcrossProcessesByConstruction) {
@@ -125,13 +130,13 @@ TEST(CacheKey, HashIsStableAcrossProcessesByConstruction) {
   key.seed = 1;
   key.policy = 1;
   key.transfer_overhead = 2;
-  EXPECT_EQ(encode(key), "stxkey/v1 v=2 stage=trace app=pin horizon=1000 "
+  EXPECT_EQ(encode(key), "stxkey/v1 v=3 stage=trace app=pin horizon=1000 "
                          "seed=1 policy=1 overhead=2");
   EXPECT_EQ(hash_hex(key), [] {
     // Independently computed FNV-1a of the line above.
     std::uint64_t h = 14695981039346656037ull;
     for (const char c : std::string(
-             "stxkey/v1 v=2 stage=trace app=pin horizon=1000 "
+             "stxkey/v1 v=3 stage=trace app=pin horizon=1000 "
              "seed=1 policy=1 overhead=2")) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;

@@ -35,7 +35,6 @@ TEST(Grid, CrossProductSizeIsTheAxisProduct) {
   // Unswept axes keep defaults everywhere.
   for (const auto& p : points) {
     EXPECT_EQ(p.policy, sim::arbitration::round_robin);
-    EXPECT_EQ(p.solver, xbar::solver_kind::specialized);
   }
 }
 
@@ -57,7 +56,6 @@ TEST(Grid, ParsesEveryAxisKey) {
       "maxtb=0,4",
       "burstwin=1000",
       "policy=fixed,rr,lrg",
-      "solver=specialized,milp",
       "reqwin=100",
       "respwin=300",
   });
@@ -70,9 +68,6 @@ TEST(Grid, ParsesEveryAxisKey) {
                 sim::arbitration::fixed_priority,
                 sim::arbitration::round_robin,
                 sim::arbitration::least_recently_granted}));
-  EXPECT_EQ(grid.solvers,
-            (std::vector<xbar::solver_kind>{xbar::solver_kind::specialized,
-                                            xbar::solver_kind::generic_milp}));
   EXPECT_EQ(grid.request_windows, (std::vector<cycle_t>{100}));
   EXPECT_EQ(grid.response_windows, (std::vector<cycle_t>{300}));
 }
@@ -93,8 +88,10 @@ TEST(Grid, RejectsUnknownKeysEmptyAxesAndBadValues) {
                invalid_argument_error);
   EXPECT_THROW(parse_grid_axis("policy=banana", grid),
                invalid_argument_error);
-  EXPECT_THROW(parse_grid_axis("solver=cplex", grid),
+  // One engine: there is no solver axis.
+  EXPECT_THROW(parse_grid_axis("solver=specialized", grid),
                invalid_argument_error);
+  EXPECT_THROW(parse_grid_axis("solver=milp", grid), invalid_argument_error);
   EXPECT_TRUE(grid.empty());  // failed parses never half-populate
 
   // 0 stays legal where it means "off" / "no override".
@@ -122,11 +119,10 @@ TEST(Grid, PointToStringNamesTheKnobs) {
   sweep_point p;
   p.window_size = 1234;
   p.burst_window = 500;
-  p.solver = xbar::solver_kind::generic_milp;
   const auto s = p.to_string();
   EXPECT_NE(s.find("win=1234"), std::string::npos);
   EXPECT_NE(s.find("burstwin=500"), std::string::npos);
-  EXPECT_NE(s.find("solver=milp"), std::string::npos);
+  EXPECT_EQ(s.find("solver"), std::string::npos);
 }
 
 }  // namespace

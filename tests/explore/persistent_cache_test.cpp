@@ -282,16 +282,12 @@ TEST(PersistentCache, CorruptTraceObjectFallsBackToSimulation) {
 
 // The acceptance criterion of the design service: a warm-cache request
 // returns a bit-identical flow_report WITHOUT re-running simulation or
-// the solver — asserted on the sim.* / milp.* obs counters staying flat
-// across the hit.
+// the solver — asserted on the sim.* / xbar.synth.* obs counters staying
+// flat across the hit.
 TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
   const auto dir = test_dir("warm-report");
   const auto app = small_app();
-  auto opts = fast_options();
-  // The generic-MILP solver, so the solver cost shows up in milp.*
-  // counters on the cold pass (the specialized solver would too, under
-  // xbar.synth.*, but the MILP path covers both families).
-  opts.synth.solver = xbar::solver_kind::generic_milp;
+  const auto opts = fast_options();
 
   obs::reset();
   obs::enable();
@@ -310,7 +306,11 @@ TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
   // It writes two store objects: the traces and the report.
   ASSERT_EQ(before.counter("sim.runs"), 2);
   EXPECT_EQ(before.counter("store.disk.puts"), 2);
-  ASSERT_GT(before.counter("milp.solves"), 0);
+  // Both directions were synthesised, and the searches did real work.
+  ASSERT_EQ(before.counter("xbar.synth.runs"), 2);
+  ASSERT_GT(before.counter("xbar.synth.feasibility_nodes") +
+                before.counter("xbar.synth.binding_nodes"),
+            0);
 
   {
     auto store = std::make_shared<disk_store>(dir.string());
@@ -327,10 +327,11 @@ TEST(PersistentCache, WarmReportIsBitIdenticalWithSimAndSolverCountersFlat) {
   EXPECT_EQ(after.counter("sim.runs"), before.counter("sim.runs"));
   EXPECT_EQ(after.counter("sim.events_processed"),
             before.counter("sim.events_processed"));
-  EXPECT_EQ(after.counter("milp.solves"), before.counter("milp.solves"));
-  EXPECT_EQ(after.counter("milp.nodes"), before.counter("milp.nodes"));
-  EXPECT_EQ(after.counter("xbar.synth.runs"),
-            before.counter("xbar.synth.runs"));
+  for (const char* counter :
+       {"xbar.synth.runs", "xbar.synth.probes",
+        "xbar.synth.feasibility_nodes", "xbar.synth.binding_nodes"}) {
+    EXPECT_EQ(after.counter(counter), before.counter(counter)) << counter;
+  }
   EXPECT_EQ(after.counter("serve.report.store_hits"),
             before.counter("serve.report.store_hits") + 1);
   obs::reset();

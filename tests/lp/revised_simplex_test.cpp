@@ -8,7 +8,7 @@
 
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
-#include "lp/simplex.h"
+#include "simplex.h"
 #include "util/random.h"
 
 namespace stx::lp {

@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "simplex.h"
 
 #include <algorithm>
 #include <cmath>
@@ -7,16 +7,6 @@
 #include "util/error.h"
 
 namespace stx::lp {
-
-const char* to_string(solve_status s) {
-  switch (s) {
-    case solve_status::optimal: return "optimal";
-    case solve_status::infeasible: return "infeasible";
-    case solve_status::unbounded: return "unbounded";
-    case solve_status::iteration_limit: return "iteration_limit";
-  }
-  return "?";
-}
 
 namespace {
 

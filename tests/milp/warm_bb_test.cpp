@@ -1,6 +1,6 @@
-// Warm-started incremental branch & bound: cut-layer outcome
-// equivalence on random 0/1 programs, engine telemetry, and the
-// symmetry-group declaration (lexicographic ordering rows).
+// Warm-started incremental branch & bound: engine telemetry on random 0/1
+// programs, and the symmetry-group declaration (lexicographic ordering
+// rows).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -51,63 +51,27 @@ random_bip make_random_bip(rng& r, int n_vars, int n_rows) {
   return out;
 }
 
-class CutsOnVsOff : public ::testing::TestWithParam<int> {};
+class WarmEngine : public ::testing::TestWithParam<int> {};
 
-TEST_P(CutsOnVsOff, OutcomesAreIdenticalOnRandomBips) {
-  // Cover/clique cuts are valid inequalities: they may only prune
-  // FRACTIONAL vertices, never an integer point, so the solve outcome
-  // must be identical with the cut layer on and off.
-  rng r(static_cast<std::uint64_t>(GetParam()) * 40427 + 11);
-  const int n_vars = static_cast<int>(r.uniform_int(2, 12));
-  const int n_rows = static_cast<int>(r.uniform_int(1, 10));
-  auto inst = make_random_bip(r, n_vars, n_rows);
-
-  bb_options with_cuts;
-  with_cuts.cuts = true;
-  bb_options without;
-  without.cuts = false;
-  const auto w = solve_branch_bound(inst.m, with_cuts);
-  const auto c = solve_branch_bound(inst.m, without);
-
-  ASSERT_EQ(w.status, c.status) << "seed=" << GetParam();
-  EXPECT_TRUE(w.cuts.empty() == (w.cuts_added == 0)) << "seed=" << GetParam();
-  EXPECT_EQ(c.cuts_added, 0) << "seed=" << GetParam();
-  if (w.status == milp_status::optimal) {
-    EXPECT_NEAR(w.objective, c.objective, 1e-6)
-        << "seed=" << GetParam();
-    EXPECT_NEAR(w.best_bound, c.best_bound, 1e-6) << "seed=" << GetParam();
-    EXPECT_TRUE(inst.m.is_feasible(w.x, 1e-6)) << "seed=" << GetParam();
-    EXPECT_TRUE(inst.m.is_feasible(c.x, 1e-6)) << "seed=" << GetParam();
-  }
-}
-
-TEST_P(CutsOnVsOff, EngineReportsWarmSolves) {
+TEST_P(WarmEngine, EngineReportsWarmSolves) {
   // Any search that branches must re-solve children from the parent
-  // basis; only the root separation solver (and fallback restarts) may
-  // cold-solve. With cuts off, the LP solve count is exactly the node
-  // count plus the one root separation solve.
+  // basis; only the root (and fallback restarts) may cold-solve. Every
+  // node is exactly one LP solve.
   rng r(static_cast<std::uint64_t>(GetParam()) * 88811 + 3);
   auto inst = make_random_bip(r, 10, 6);
   bb_options opts;
-  opts.cuts = false;
   opts.use_presolve = false;  // keep the node structure un-reduced
   opts.rounding_heuristic = false;
   const auto w = solve_branch_bound(inst.m, opts);
   if (w.nodes > 1) {
     EXPECT_GT(w.warm_solves, 0) << "seed=" << GetParam();
   }
-  if (w.waves > 0) {
-    EXPECT_EQ(w.nodes + 1, w.warm_solves + w.cold_solves)
-        << "seed=" << GetParam();
-  } else {
-    // Root-terminal solve (infeasible/unbounded relaxation): the one
-    // separation-solver cold solve is the whole search.
-    EXPECT_EQ(w.nodes, 1) << "seed=" << GetParam();
-    EXPECT_EQ(w.warm_solves + w.cold_solves, 1) << "seed=" << GetParam();
-  }
+  EXPECT_GE(w.nodes, 1) << "seed=" << GetParam();
+  EXPECT_GE(w.cold_solves, 1) << "seed=" << GetParam();
+  EXPECT_EQ(w.nodes, w.warm_solves + w.cold_solves) << "seed=" << GetParam();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CutsOnVsOff, ::testing::Range(0, 40));
+INSTANTIATE_TEST_SUITE_P(Seeds, WarmEngine, ::testing::Range(0, 40));
 
 /// A deliberately symmetric model: the min-makespan shape of Eq. 11 —
 /// place T weighted "targets" on B identical "buses" minimizing the
@@ -161,7 +125,6 @@ TEST(SymmetryBreaking, PreservesTheOptimumAndPrunesTheTree) {
   const auto broken = make_symmetric_model(7, 3, true);
   bb_options opts;
   opts.rounding_heuristic = false;  // measure the tree, not the heuristic
-  opts.cuts = false;  // ...and not the cut layer (it reshapes both trees)
   const auto a = solve_branch_bound(plain, opts);
   const auto b = solve_branch_bound(broken, opts);
   ASSERT_EQ(a.status, milp_status::optimal);

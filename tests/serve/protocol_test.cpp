@@ -32,8 +32,7 @@ TEST(Protocol, OptionFieldsOverrideTheDefaults) {
   const auto req = parse_request(
       R"({"op":"design","app":"fft","horizon":9000,"window":250,)"
       R"("threshold":0.4,"maxtb":3,"policy":"fixed_priority",)"
-      R"("solver":"milp","solver_node_limit":5000,"solver_time_ms":1500,)"
-      R"("solver_threads":4,"solver_cuts":false,"solver_portfolio":true,)"
+      R"("solver_node_limit":5000,"solver_time_ms":1500,)"
       R"("validate":false,"artifacts":["sv","dot"]})");
   const auto& d = req.design;
   EXPECT_EQ(d.opts.horizon, 9'000);
@@ -41,12 +40,8 @@ TEST(Protocol, OptionFieldsOverrideTheDefaults) {
   EXPECT_DOUBLE_EQ(d.opts.synth.params.overlap_threshold, 0.4);
   EXPECT_EQ(d.opts.synth.params.max_targets_per_bus, 3);
   EXPECT_EQ(d.opts.policy, sim::arbitration::fixed_priority);
-  EXPECT_EQ(d.opts.synth.solver, xbar::solver_kind::generic_milp);
   EXPECT_EQ(d.opts.synth.limits.max_nodes, 5'000);
   EXPECT_DOUBLE_EQ(d.opts.synth.limits.time_limit_sec, 1.5);
-  EXPECT_EQ(d.opts.synth.limits.threads, 4);
-  EXPECT_FALSE(d.opts.synth.limits.cuts);
-  EXPECT_TRUE(d.opts.synth.limits.portfolio);
   EXPECT_FALSE(d.validate);
   EXPECT_EQ(d.artifacts, (std::vector<std::string>{"sv", "dot"}));
 }
@@ -104,13 +99,22 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(
       parse_request(R"({"op":"design","app":"mat2","solver_time_ms":-5})"),
       invalid_argument_error);
-  EXPECT_THROW(parse_request(R"({"op":"design","app":"mat2","solver":"z3"})"),
-               invalid_argument_error);
   EXPECT_THROW(
       parse_request(R"({"op":"design","app":"mat2","policy":"coin_flip"})"),
       invalid_argument_error);
   EXPECT_THROW(parse_request(R"({"op":"design","scenario":"garbage"})"),
                invalid_argument_error);
+  // One engine answers every request, so there is no engine selector and
+  // no generic-MILP knob to send.
+  for (const char* field :
+       {R"("solver":"milp")", R"("solver":"specialized")",
+        R"("solver_threads":4)", R"("solver_cuts":false)",
+        R"("solver_portfolio":true)"}) {
+    EXPECT_THROW(parse_request(std::string(R"({"op":"design","app":"mat2",)") +
+                               field + "}"),
+                 invalid_argument_error)
+        << field;
+  }
 }
 
 TEST(Protocol, DesignResponseRoundTripsByteExactly) {

@@ -28,7 +28,6 @@ const std::string kXbargen = STX_XBARGEN_BIN;
 const std::string kXbarSweep = STX_XBAR_SWEEP_BIN;
 const std::string kXbarServe = STX_XBAR_SERVE_BIN;
 const std::string kXbarFuzz = STX_XBAR_FUZZ_BIN;
-const std::string kAblationSolver = STX_ABLATION_SOLVER_BIN;
 const std::string kAblationSim = STX_ABLATION_SIM_BIN;
 const std::string kFig5a = STX_FIG5A_BIN;
 const std::string kQuickstart = STX_QUICKSTART_BIN;
@@ -70,7 +69,6 @@ TEST(CliFlagValues, XbarFuzzExits2OnMalformedValues) {
 }
 
 TEST(CliFlagValues, BenchesExit2InsteadOfAborting) {
-  EXPECT_EQ(run(kAblationSolver + " --big-fabric=false"), 2);
   EXPECT_EQ(run(kAblationSim + " --horizon=abc"), 2);
   EXPECT_EQ(run(kFig5a + " --validate=maybe"), 2);
   // Unknown flags keep their exit code through the shared entry point.

@@ -1,29 +1,43 @@
-// CLI validation of the solver budget flags: --solver-node-limit and
-// --solver-time-ms on xbargen and xbar-sweep must reject malformed or
+// CLI validation of the solver flags. The budget flags --solver-node-limit
+// and --solver-time-ms on xbargen and xbar-sweep must reject malformed or
 // out-of-range values with exit code 2 (usage error) BEFORE any
-// simulation starts, and must actually reach solver_options when valid —
-// a starved node budget on the generic-MILP path fails the run (exit 1,
-// runtime error), proving the plumbing is live.
+// simulation starts, and must actually reach the search when valid — a
+// starved node budget fails the run (exit 1, runtime error, "hit
+// limits"), proving the plumbing is live. The retired engine flags
+// (--solver, --solver-threads, --solver-cuts, --solver-portfolio) are
+// unknown flags: exit 2, never silently ignored.
 //
-// The binaries are exercised through std::system; their paths are
-// injected by CMake. Output is routed to /dev/null so failures stay
-// readable.
+// The binaries are exercised through popen; their paths are injected by
+// CMake.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdio>
 #include <string>
 
 #include <sys/wait.h>
 
 namespace {
 
-int run(const std::string& cmd) {
-  const int status =
-      std::system((cmd + " >/dev/null 2>/dev/null").c_str());
-  if (status == -1) return -1;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  return -1;
+struct outcome {
+  int exit_code = -1;  ///< -1 when the process did not exit normally
+  std::string output;  ///< stdout and stderr, interleaved
+};
+
+outcome run_capture(const std::string& cmd) {
+  outcome out;
+  FILE* pipe = ::popen((cmd + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    out.output.append(buf, n);
+  }
+  const int status = ::pclose(pipe);
+  if (status != -1 && WIFEXITED(status)) out.exit_code = WEXITSTATUS(status);
+  return out;
 }
+
+int run(const std::string& cmd) { return run_capture(cmd).exit_code; }
 
 const std::string kXbargen = STX_XBARGEN_BIN;
 const std::string kXbarSweep = STX_XBAR_SWEEP_BIN;
@@ -43,20 +57,44 @@ TEST(CliSolverFlags, XbarSweepRejectsInvalidBudgetsWithExit2) {
   EXPECT_EQ(run(kXbarSweep + grid + " --solver-time-ms=-20"), 2);
 }
 
+TEST(CliSolverFlags, RetiredEngineFlagsExit2) {
+  // One engine: selecting another one, or tuning the generic branch &
+  // bound (a test oracle, not a product path), is bad usage on both
+  // CLIs.
+  const std::string retired[] = {
+      " --solver=cplex",        " --solver=milp",
+      " --solver=specialized",  " --solver-threads=4",
+      " --solver-cuts=false",   " --solver-portfolio=true",
+  };
+  for (const auto& flag : retired) {
+    const auto gen = run_capture(kXbargen + " --app=qsort" + flag);
+    EXPECT_EQ(gen.exit_code, 2) << "xbargen" << flag;
+    EXPECT_NE(gen.output.find("unknown flag"), std::string::npos)
+        << "xbargen" << flag << ": " << gen.output;
+    EXPECT_EQ(run(kXbarSweep + " --app=qsort --grid win=200" + flag), 2)
+        << "xbar-sweep" << flag;
+  }
+  // The sweep grid has no solver axis either.
+  EXPECT_EQ(run(kXbarSweep + " --app=qsort --grid solver=milp"), 2);
+  EXPECT_EQ(run(kXbargen + " --app=qsort --grid solver=specialized"), 2);
+}
+
 TEST(CliSolverFlags, ValidBudgetsRunAndStarvedBudgetsFailAtRuntime) {
   // Generous budgets: the flow completes (exit 0).
   EXPECT_EQ(run(kXbargen +
                 " --app=qsort --horizon=3000 --solver-node-limit=5000000 "
                 "--solver-time-ms=60000"),
             0);
-  // A one-node budget on the generic-MILP path starves the solver: the
-  // run fails as a RUNTIME error (exit 1), not a usage error — and the
-  // failure proves the flag reached solver_options. (The horizon is big
-  // enough that the binding MILP cannot be proven optimal at the root.)
-  EXPECT_EQ(run(kXbargen +
-                " --app=qsort --horizon=8000 --solver=milp "
-                "--solver-node-limit=1"),
-            1);
+  // A one-node budget starves the specialised search: mat1's first
+  // sizing probe needs more than one node, so the run fails as a RUNTIME
+  // error (exit 1), not a usage error — and the failure proves the flag
+  // reached the search.
+  const auto starved = run_capture(kXbargen +
+                                   " --app=mat1 --horizon=8000 "
+                                   "--solver-node-limit=1");
+  EXPECT_EQ(starved.exit_code, 1) << starved.output;
+  EXPECT_NE(starved.output.find("hit limits"), std::string::npos)
+      << starved.output;
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 // Solver perf guard (ctest label `bench`): the warm-started incremental
-// branch & bound must keep re-solving nodes from the parent basis — the
-// whole point of the machinery is replacing full two-phase solves with a
-// handful of dual pivots — and the root cut layer must actually shrink
-// the search. Both guards are on DETERMINISTIC counters (node and solve
-// counts, no wall clock), so they cannot flake on a loaded machine;
-// tripping one means the respective subsystem has actually regressed.
+// branch & bound that serves as the reference MILP engine must keep
+// re-solving nodes from the parent basis — the whole point of the
+// machinery is replacing full two-phase solves with a handful of dual
+// pivots. The guard is on DETERMINISTIC counters (node and solve counts,
+// no wall clock), so it cannot flake on a loaded machine; tripping it
+// means the warm path has actually regressed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
 
 #include "milp/branch_bound.h"
 #include "workloads/mpsoc_apps.h"
@@ -19,12 +18,10 @@
 namespace stx::xbar {
 namespace {
 
-TEST(SolverPerfGuard, WarmSolvesDominateAndCutsPruneOnBuiltinApps) {
+TEST(SolverPerfGuard, WarmSolvesDominateOnBuiltinApps) {
   constexpr traffic::cycle_t kHorizon = 8'000;
   constexpr int kMaxTargets = 10;  // keep the suite quick under sanitizers
   int guarded = 0;
-  int cut_reducers = 0;
-  std::int64_t nodes_with_cuts = 0, nodes_without_cuts = 0;
   for (const auto& name : workloads::app_names()) {
     const auto app = *workloads::make_app_by_name(name);
     flow_options opts;
@@ -43,20 +40,15 @@ TEST(SolverPerfGuard, WarmSolvesDominateAndCutsPruneOnBuiltinApps) {
 
     // Node budgets only: a wall-clock limit would make the guard's
     // verdict depend on machine speed.
-    milp::bb_options with_cuts;
-    with_cuts.time_limit_sec = 0.0;
-    milp::bb_options without = with_cuts;
-    without.cuts = false;
-    const auto w = milp::solve_branch_bound(bm.model, with_cuts);
-    const auto c = milp::solve_branch_bound(bm.model, without);
+    milp::bb_options opts_bb;
+    opts_bb.time_limit_sec = 0.0;
+    const auto w = milp::solve_branch_bound(bm.model, opts_bb);
     ASSERT_EQ(w.status, milp::milp_status::optimal) << name;
-    ASSERT_EQ(c.status, milp::milp_status::optimal) << name;
-    EXPECT_NEAR(w.objective, c.objective, 1e-6) << name;
 
     // Warm-start health: on any search that branches, nearly every node
-    // must re-solve from its parent's basis. Cold solves are the one
-    // root separation solve plus rare dual-repair fallbacks; more than
-    // 10% of all solves going cold means the warm path has regressed.
+    // must re-solve from its parent's basis. Cold solves are the root
+    // solve plus rare dual-repair fallbacks; more than 10% of all solves
+    // going cold means the warm path has regressed.
     if (w.nodes > 1) {
       EXPECT_GT(w.warm_solves, 0) << name;
       const auto total = w.warm_solves + w.cold_solves;
@@ -64,25 +56,9 @@ TEST(SolverPerfGuard, WarmSolvesDominateAndCutsPruneOnBuiltinApps) {
           << name << ": " << w.cold_solves << " cold of " << total
           << " solves";
     }
-    nodes_with_cuts += w.nodes;
-    nodes_without_cuts += c.nodes;
-    if (w.cuts_added > 0 && w.nodes < c.nodes) ++cut_reducers;
-    ::testing::Test::RecordProperty(
-        name + "_cut_node_ratio",
-        std::to_string(static_cast<double>(w.nodes) /
-                       static_cast<double>(
-                           std::max<std::int64_t>(1, c.nodes))));
     ++guarded;
   }
   EXPECT_GE(guarded, 3) << "too few tractable apps reached the guard";
-  // The cut layer must strictly shrink the tree on at least one paper
-  // model, and must not blow the total up (valid cuts tighten the
-  // relaxation; a larger total tree means the separator is emitting
-  // junk).
-  EXPECT_GE(cut_reducers, 1);
-  EXPECT_LE(nodes_with_cuts, nodes_without_cuts + nodes_without_cuts / 4)
-      << nodes_with_cuts << " nodes with cuts vs " << nodes_without_cuts
-      << " without";
 }
 
 }  // namespace

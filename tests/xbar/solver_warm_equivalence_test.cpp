@@ -1,4 +1,4 @@
-// Differential verification of the generic-MILP solver path on the real
+// Differential verification of the reference MILP engine on the real
 // crossbar models: every built-in application plus 40 random testkit
 // scenarios, solved with the warm-started incremental branch & bound,
 // must match the exact specialised solver — same status, same bus count,
@@ -7,9 +7,9 @@
 // both are verified feasible and cost-identical, which is what "same
 // selected design" means at the design level: bus count and achieved
 // overlap are what the flow consumes.) The specialised solver's proofs
-// are themselves cross-checked in tests/xbar/solver_test, so agreement
-// here pins the generic path — including the symmetry-breaking lex rows
-// and the root cut layer — to the paper's optima.
+// are themselves cross-checked in tests/xbar/bb_solver_test, so agreement
+// here pins the reference path — including presolve's symmetry-breaking
+// lex rows — to the paper's optima.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -110,8 +110,8 @@ TEST(SolverWarmEquivalence, BindingOptimaAgreeOnTractableApps) {
   // Full binding optimisation differential on the apps whose Eq. 11
   // model stays cheap under sanitizers; the larger paper apps
   // (mat1/mat2/fft) are covered by the feasibility differential above
-  // and the oracle's node-capped cross-check (see bench/ablation_solver
-  // and the --solver=milp CLI path).
+  // and the oracle's node-capped cross-check (src/testkit/oracle.cpp,
+  // run over every xbar-fuzz scenario).
   for (const auto& name : {"qsort", "synthetic"}) {
     const auto input = app_input(name, 6'000, /*request=*/true);
     expect_outcome_equivalence(input, name);
